@@ -9,6 +9,7 @@ Logarithms in reported bounds and ratios are natural.
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -127,11 +128,13 @@ def cmd_normal_form(args) -> int:
             "length": len(res.word),
             "phase_lengths": list(res.phase_lengths),
             "column_norms": list(res.column_norms),
+            "peak_norm": res.peak_norm,
+            "peak_bits": res.peak_norm.bit_length(),
             "word": word_to_json(res.word),
         }
         _emit(args, payload, format_word_text(res.word))
         return 0
-    blocks = [b for b in text.split("\n\n") if b.strip()]
+    blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
     rows = []
     lines = []
     for block in blocks:
@@ -143,7 +146,8 @@ def cmd_normal_form(args) -> int:
             {
                 "n": m.n,
                 "norm": norm,
-                "peak_norm": max(res.column_norms),
+                "peak_norm": res.peak_norm,
+                "peak_bits": res.peak_norm.bit_length(),
                 "length": len(res.word),
                 "phase_lengths": list(res.phase_lengths),
                 "ratio": ratio,
@@ -152,7 +156,7 @@ def cmd_normal_form(args) -> int:
         a, b, c = res.phase_lengths
         shown = f"{ratio:.1f}" if ratio is not None else "-"
         lines.append(
-            f"n={m.n} norm={norm} peak={max(res.column_norms)} "
+            f"n={m.n} norm={norm} peak={res.peak_norm} "
             f"length={len(res.word)} phases={a}/{b}/{c} ratio={shown}"
         )
     _emit(args, {"matrices": rows}, "\n".join(lines))

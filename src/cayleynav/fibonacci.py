@@ -59,4 +59,5 @@ def zeckendorf_length_bound(m: int) -> float:
     """Upper bound 4 + 6 * log_tau(1 + m * sqrt(5)) on compressed word length."""
     if m < 1:
         raise DomainError(f"length bound needs m >= 1, got {m}")
-    return 4.0 + 6.0 * math.log(1.0 + m * SQRT5, TAU)
+    # log(1 + m sqrt 5) = log m + log(sqrt 5 + 1/m); math.log takes any int
+    return 4.0 + 6.0 * (math.log(m) + math.log(SQRT5 + 1 / m)) / math.log(TAU)

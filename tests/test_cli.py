@@ -151,6 +151,16 @@ def test_cli_compress_json(capsys):
     assert eval_word_z(w).rows[0][2] == 100
 
 
+def test_cli_compress_exponent_beyond_float_range(capsys):
+    m = 10**400
+    rc, out, _ = run(capsys, "compress", "3", "1", "3", str(m), "--json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["length"] <= payload["bound"] < 12_000
+    w = word_from_json(payload["word"])
+    assert eval_word_z(w) == MatZ.from_rows([[1, 0, m], [0, 1, 0], [0, 0, 1]])
+
+
 def test_cli_compress_modp(capsys):
     rc, out, _ = run(capsys, "compress", "3", "1", "2", "100", "--modp", "101")
     assert rc == 0
@@ -192,6 +202,34 @@ def test_cli_normal_form_json(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["length"] == sum(payload["phase_lengths"])
     assert eval_word_z(word_from_json(payload["word"])) == PERM
+
+
+def test_cli_normal_form_reports_true_peak(tmp_path, capsys):
+    m = MatZ.from_rows([[1, 9, 0], [0, 1, 0], [0, 0, 1]])
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix_text(m))
+    rc, out, _ = run(capsys, "normal-form", "--json", str(path))
+    payload = json.loads(out)
+    assert rc == 0
+    assert payload["peak_norm"] == 9
+    assert payload["peak_bits"] == 4
+    rc, out, _ = run(capsys, "normal-form", "--stats", "--json", str(path))
+    row = json.loads(out)["matrices"][0]
+    assert (row["peak_norm"], row["peak_bits"]) == (9, 4)
+    rc, out, _ = run(capsys, "normal-form", "--stats", str(path))
+    assert out.startswith("n=3 norm=9 peak=9 length=9 phases=0/0/9 ratio=")
+
+
+def test_cli_normal_form_stats_whitespace_separator(tmp_path, capsys):
+    path = tmp_path / "batch.txt"
+    path.write_text(
+        format_matrix_text(PERM) + "  \t\n" + format_matrix_text(MatZ.identity(3)) + " \n\n"
+    )
+    rc, out, _ = run(capsys, "normal-form", "--stats", str(path))
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("n=3 norm=1 peak=1 length=0 ")
 
 
 def test_cli_normal_form_rejects_modp_header(tmp_path, capsys):

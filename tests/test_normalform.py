@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleynav.core import (
     MatZ,
@@ -171,3 +173,35 @@ def test_normal_form_result_record():
     assert isinstance(r, NormalFormResult)
     assert eval_word_z(r.word) == m
     assert r.phase_lengths[1] % 6 == 0
+
+
+def test_peak_norm_counts_the_input():
+    assert normal_form_result(MatZ.identity(4)).peak_norm == 1
+    m = MatZ.from_rows([[1, 5, 0], [0, 1, 0], [0, 0, 1]])
+    assert normal_form_result(m).peak_norm == 5
+
+
+def test_lll_keeps_entries_near_the_input_norm():
+    rng = random.Random(5)
+    for n in (4, 6, 8):
+        m = random_unimodular(rng, n, 400)
+        r = normal_form_result(m)
+        assert eval_word_z(r.word) == m
+        assert sup_norm(m) <= r.peak_norm <= 2 * sup_norm(m)
+        assert max(r.column_norms[1:]) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 8), st.integers(1, 288), st.integers(0, 2**32))
+def test_normal_form_round_trip_big_entries(n, bits, seed):
+    rng = random.Random(seed)
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    while max(abs(x) for row in rows for x in row).bit_length() < bits:
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((1, -1)) * rng.randrange(1, 2 ** rng.randint(1, 16))
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    m = MatZ.from_rows(rows)
+    r = normal_form_result(m)
+    assert eval_word_z(r.word) == m
+    assert sum(r.phase_lengths) == len(r.word)
+    assert r.peak_norm.bit_length() <= sup_norm(m).bit_length() + n
