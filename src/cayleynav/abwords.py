@@ -10,7 +10,7 @@ short: every e(i, j) costs fewer than 10n letters.
 
 from functools import lru_cache
 
-from .core import ELEMENTARY, Word, abletter, free_reduce
+from .core import ELEMENTARY, Word, abletter
 from .errors import DomainError, InvalidGeneratorError
 
 
@@ -49,7 +49,7 @@ def column_ones_word(k: int, n: int) -> Word:
     _check_k(k, n)
     if k == 2:
         return Word(n, (abletter("A"),))
-    return free_reduce(band_word(k, n) * band_word(k - 1, n).inverse())
+    return (band_word(k, n) * band_word(k - 1, n).inverse()).free_reduce()
 
 
 @lru_cache(maxsize=None)
@@ -64,9 +64,9 @@ def e1k_ab_word(k: int, n: int) -> Word:
         return Word(n, (abletter("A"),))
     shift_down = Word(n, (abletter("B", -1),))
     shift_up = Word(n, (abletter("B"),))
-    return free_reduce(
+    return (
         column_ones_word(k, n) * shift_down * column_ones_word(k - 1, n).inverse() * shift_up
-    )
+    ).free_reduce()
 
 
 @lru_cache(maxsize=None)
@@ -104,4 +104,4 @@ def rewrite_word_ab(w: Word) -> Word:
         if l.e < 0:
             piece = piece.inverse()
         letters.extend(piece.letters)
-    return free_reduce(Word(w.n, tuple(letters)))
+    return Word(w.n, tuple(letters)).free_reduce()

@@ -55,12 +55,10 @@ def generator_letters(n: int, alphabet: str = ELEMENTARY) -> list:
     raise DomainError(f"unknown alphabet {alphabet!r}")
 
 
-def bfs_distance_map(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = DEFAULT_BUDGET) -> dict:
-    """Exact distance from the identity for every element of SL_n(F_p).
+def _distances(n: int, p: int, alphabet: str, budget: int, target: tuple | None = None) -> dict:
+    """Breadth-first distances from the identity, stopping once target is found.
 
-    Keys are flat row-major entry tuples.  Elementary letters and the two
-    shift generators act as O(n) row operations, so the cost is linear in
-    the number of group elements times generators.
+    Only newly discovered states are compared with the target.
     """
     order = sl_group_order(n, p)
     if order > budget:
@@ -70,9 +68,12 @@ def bfs_distance_map(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = D
     letters = generator_letters(n, alphabet)
     start = tuple(1 if r == c else 0 for r in range(n) for c in range(n))
     dist = {start: 0}
+    if target == start:
+        return dist
     frontier = [start]
     d = 0
     while frontier:
+        d += 1
         nxt = []
         for key in frontier:
             rows = [list(key[r * n : (r + 1) * n]) for r in range(n)]
@@ -81,15 +82,26 @@ def bfs_distance_map(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = D
                 apply_letter_fp(out, letter, p)
                 k2 = tuple(x for row in out for x in row)
                 if k2 not in dist:
-                    dist[k2] = d + 1
+                    dist[k2] = d
                     nxt.append(k2)
-        d += 1
+                    if k2 == target:
+                        return dist
         frontier = nxt
     if len(dist) != order:
         raise InternalStateError(
             f"reached {len(dist)} elements, expected {order}: generators do not generate"
         )
     return dist
+
+
+def bfs_distance_map(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = DEFAULT_BUDGET) -> dict:
+    """Exact distance from the identity for every element of SL_n(F_p).
+
+    Keys are flat row-major entry tuples.  Elementary letters and the two
+    shift generators act as O(n) row operations, so the cost is linear in
+    the number of group elements times generators.
+    """
+    return _distances(n, p, alphabet, budget)
 
 
 @dataclass(frozen=True)
@@ -115,36 +127,8 @@ def bfs_distance_fp(m: MatFp, alphabet: str = ELEMENTARY, budget: int = DEFAULT_
     """Exact Cayley distance of one element, stopping as soon as it is found."""
     if determinant_fp(m) != 1:
         raise NotInGroupError("matrix is not in SL: determinant is not 1 mod p")
-    n, p = m.n, m.p
-    order = sl_group_order(n, p)
-    if order > budget:
-        raise BudgetExceededError(
-            f"SL_{n}(F_{p}) has {order} elements, over the budget of {budget}"
-        )
     target = m.key()
-    letters = generator_letters(n, alphabet)
-    start = tuple(1 if r == c else 0 for r in range(n) for c in range(n))
-    if target == start:
-        return 0
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier:
-        nxt = []
-        for key in frontier:
-            rows = [list(key[r * n : (r + 1) * n]) for r in range(n)]
-            for letter in letters:
-                out = rows[:]
-                apply_letter_fp(out, letter, p)
-                k2 = tuple(x for row in out for x in row)
-                if k2 not in dist:
-                    if k2 == target:
-                        return d + 1
-                    dist[k2] = d + 1
-                    nxt.append(k2)
-        d += 1
-        frontier = nxt
-    raise InternalStateError("search exhausted the group without finding the target")
+    return _distances(m.n, m.p, alphabet, budget, target)[target]
 
 
 def bfs_ball_sl2z(radius: int, budget: int = DEFAULT_BUDGET) -> dict:

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success (for verify: words match), 1 verify mismatch,
-2 malformed input or arguments, 3 domain errors (wrong determinant,
-unsupported dimension, bad indices), 4 exhausted state budgets.
+2 malformed input or arguments or an unreadable input file, 3 domain
+errors (wrong determinant, unsupported dimension, bad indices),
+4 exhausted state budgets.
 Logarithms in reported bounds and ratios are natural.
 """
 
@@ -39,10 +40,14 @@ from .normalform import normal_form_result
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ParseError(f"cannot read {path}: {reason}") from exc
 
 
 def _emit(args, payload: dict, text: str) -> None:

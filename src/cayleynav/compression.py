@@ -121,11 +121,6 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
     return Word(n, tuple(template))
 
 
-def compress_power_3(m: int) -> Word:
-    """Compressed word for e(1,3)^m in dimension 3."""
-    return compress_power(3, 1, 3, m)
-
-
 def compress_power_modp(n: int, i: int, j: int, m: int, p: int, aux: int | None = None) -> Word:
     """Compressed word congruent to e(i, j)^m mod p.
 

@@ -129,16 +129,6 @@ class Word:
         return f"Word(n={self.n}, '{self.tokens()}')"
 
 
-def word_inverse(w: Word) -> Word:
-    """Reverse the letters and invert each exponent."""
-    return w.inverse()
-
-
-def free_reduce(w: Word) -> Word:
-    """Cancel all adjacent inverse pairs."""
-    return w.free_reduce()
-
-
 @dataclass(frozen=True)
 class MatZ:
     """Immutable integer matrix, stored as a tuple of row tuples."""
@@ -422,13 +412,22 @@ def least_abs_residue(m: int, p: int) -> int:
     return r
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Smallest strong pseudoprime to all of _MR_WITNESSES (psi_13; Sorenson and
+# Webster, Math. Comp. 86 (2017)).  Below it the test is exact.
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n below 3.3 * 10^24."""
+    """Deterministic Miller-Rabin on the first 13 prime bases.
+
+    Exact for n < 3 317 044 064 679 887 385 961 981; larger n raise
+    DomainError rather than risk a strong pseudoprime.
+    """
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise DomainError(f"primality of {n} is not decided exactly at or above {_MR_LIMIT}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q

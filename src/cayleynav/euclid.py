@@ -4,7 +4,10 @@ Two reducers live here.  The subtractive one performs a_p += s * a_q one
 unit multiple at a time and exists mainly for its step statistics; its step
 count on a pair equals the sum of the continued fraction quotients.  The
 accelerated one replaces runs of equal subtractions by a single compressed
-power word, so the letter count is logarithmic in the entry size.
+power word, so the letter count is logarithmic in the entry size.  Its
+division moves (division_steps) and auxiliary-index rule (aux_index) are
+the ones rowreduce.RowReducer applies to whole rows when it clears a
+column.
 """
 
 import math
@@ -115,34 +118,16 @@ class AcceleratedResult:
     quotient_steps: tuple[QuotientStep, ...]
 
 
-def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
-    """Gcd reduction of the trailing k entries using compressed power words.
+def division_steps(vals: list, active) -> list[tuple[int, int, int]]:
+    """Fold the active entries of vals into one carrier by Euclidean division.
 
-    A carrier position holds the running gcd; every later nonzero active
-    position is folded in by Euclidean division, each quotient realized as
-    one compress_power chunk.  With k >= 3 the auxiliary index stays inside
-    the active range, so the word only touches the trailing k positions.
-    With k == 2 the smallest index outside the range serves as auxiliary.
+    The carrier starts at the first nonzero active position; every later
+    nonzero active position is folded in, and the running gcd ends up at
+    the only nonzero active position.  Mutates vals and returns the moves
+    (target, source, multiple), each vals[target] += multiple * vals[source]
+    with 1-based indices, in temporal order.
     """
-    vals = [int(x) for x in entries]
-    n = len(vals)
-    if n < 3:
-        raise DomainError(f"accelerated reduction needs dimension >= 3, got {n}")
-    if k is None:
-        k = n
-    if not (2 <= k <= n):
-        raise DomainError(f"active length must lie in 2..{n}, got {k}")
-    active = list(range(n - k + 1, n + 1))
-    if all(vals[a - 1] == 0 for a in active):
-        raise DomainError("active entries are all zero, gcd undefined")
-    initial = tuple(vals)
-
-    def aux_for(x: int, y: int) -> int:
-        if k >= 3:
-            return next(a for a in active if a != x and a != y)
-        return next(a for a in range(1, n + 1) if a not in active)
-
-    qsteps: list[QuotientStep] = []
+    steps = []
     carrier = next(a for a in active if vals[a - 1] != 0)
     for pos in active:
         if pos == carrier or vals[pos - 1] == 0:
@@ -152,15 +137,48 @@ def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
             q = vals[a - 1] // vals[b - 1]
             if q:
                 vals[a - 1] -= q * vals[b - 1]
-                qsteps.append(QuotientStep(a, b, -q))
+                steps.append((a, b, -q))
             a, b = b, a
         carrier = a
+    return steps
 
+
+def aux_index(n: int, k: int, x: int, y: int) -> int:
+    """Auxiliary index for a chunk e(x, y)^m while reducing the trailing k of n.
+
+    With k >= 3 it is the first active index other than x and y, so the
+    chunk only touches the trailing k positions; with k == 2 it is 1, the
+    smallest index outside the active range.
+    """
+    if k >= 3:
+        return next(a for a in range(n - k + 1, n + 1) if a != x and a != y)
+    return 1
+
+
+def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
+    """Gcd reduction of the trailing k entries using compressed power words.
+
+    The moves are those of division_steps, each quotient realized as one
+    compress_power chunk whose auxiliary index comes from aux_index.
+    """
+    vals = [int(x) for x in entries]
+    n = len(vals)
+    if n < 3:
+        raise DomainError(f"accelerated reduction needs dimension >= 3, got {n}")
+    if k is None:
+        k = n
+    if not (2 <= k <= n):
+        raise DomainError(f"active length must lie in 2..{n}, got {k}")
+    active = range(n - k + 1, n + 1)
+    if all(vals[a - 1] == 0 for a in active):
+        raise DomainError("active entries are all zero, gcd undefined")
+    initial = tuple(vals)
+    qsteps = tuple(QuotientStep(*st) for st in division_steps(vals, active))
     letters: list = []
     for st in reversed(qsteps):
-        chunk = compress_power(n, st.target, st.source, st.multiple, aux_for(st.target, st.source))
+        chunk = compress_power(n, st.target, st.source, st.multiple, aux_index(n, k, st.target, st.source))
         letters.extend(chunk.letters)
-    return AcceleratedResult(Word(n, tuple(letters)), initial, tuple(vals), tuple(qsteps))
+    return AcceleratedResult(Word(n, tuple(letters)), initial, tuple(vals), qsteps)
 
 
 def step_bound(k: int, max_abs: int, K: float = DEFAULT_K) -> float:

@@ -1,12 +1,15 @@
 """Short words for matrices over prime fields.
 
-The integer pipeline almost carries over: entries are lifted to residues
-in [0, p), the lifted columns are gcd-reduced with compressed power words,
-and above-diagonal entries are cleared with exponents taken mod p, so every
-chunk costs O(log p) letters.  What changes is the endgame.  Pivots are
-arbitrary nonzero residues rather than +-1, and the leftover diagonal is
-swept to the identity by a cascade of two-row gadgets, each realizing
-diag(a^-1, a) out of four transvection powers.
+The integer pipeline carries over through the shared engine
+rowreduce.RowReducer, run over Z/p: entries are lifted to residues in
+[0, p), the lifted columns are gcd-reduced with compressed power chunks,
+and above-diagonal entries are cleared with exponents taken mod p, so
+every chunk costs O(log p) letters.  What changes is the endgame.  Pivots
+are arbitrary nonzero residues rather than +-1, and the leftover diagonal
+is swept to the identity by a cascade of two-row gadgets, each realizing
+diag(a^-1, a) out of four transvection powers.  As in the integer
+pipeline, the inverse of every premultiplier is appended as it is
+applied, so the letters come out in the order of the final word.
 
 Total length is bounded by c * n^2 * ln p; DEFAULT_C was pinned by
 measuring the exhaustive and sampled reports in the test grid.
@@ -17,15 +20,18 @@ import random
 from dataclasses import dataclass
 
 from .bfs import DEFAULT_BUDGET, bfs_distance_map, sl_group_order
-from .compression import compress_power_modp
-from .core import MatFp, Word, determinant_fp, eletter, inverse_mod, is_prime
-from .errors import (
-    DomainError,
-    InternalStateError,
-    NotInGroupError,
-    UnsupportedDimensionError,
+from .compression import compress_power
+from .core import (
+    MatFp,
+    Word,
+    determinant_fp,
+    eletter,
+    inverse_mod,
+    is_prime,
+    least_abs_residue,
 )
-from .euclid import accelerated_reduce
+from .errors import DomainError, NotInGroupError, UnsupportedDimensionError
+from .rowreduce import RowReducer
 
 DEFAULT_C = 12.0
 
@@ -49,10 +55,9 @@ def diagonal_clear_gadget(n: int, i: int, a: int, b: int, p: int) -> Word:
     j = i + 1
     ainv = inverse_mod(a, p)
     s1 = Word(n, (eletter(i, j), eletter(j, i, -1), eletter(i, j)))
-    s2 = compress_power_modp(n, j, i, a, p)
-    s3 = compress_power_modp(n, i, j, -ainv, p)
-    s4 = compress_power_modp(n, j, i, a, p)
-    return s4 * s3 * s2 * s1
+    s2 = compress_power(n, j, i, least_abs_residue(a, p))
+    s3 = compress_power(n, i, j, least_abs_residue(-ainv, p))
+    return s2 * s3 * s2 * s1
 
 
 def word_for_modp(m: MatFp) -> Word:
@@ -62,50 +67,21 @@ def word_for_modp(m: MatFp) -> Word:
         raise UnsupportedDimensionError(f"mod-p reduction needs dimension >= 3, got {n}")
     if determinant_fp(m) != 1:
         raise NotInGroupError("determinant is not 1 mod p")
-    rows = [list(r) for r in m.rows]
-    temporal: list = []
-
+    red = RowReducer([list(r) for r in m.rows], p)
     for col in range(1, n):
-        entries = tuple(rows[r][col - 1] for r in range(n))
-        if all(v == 0 for v in entries[col - 1 :]):
-            raise InternalStateError(f"column {col} is zero at and below the diagonal")
-        res = accelerated_reduce(entries, n - col + 1)
-        for st in res.quotient_steps:
-            t, s = st.target - 1, st.source - 1
-            rows[t] = [(x + st.multiple * y) % p for x, y in zip(rows[t], rows[s])]
-        temporal.extend(reversed(res.word.letters))
-        carrier = next(r for r in range(col, n + 1) if res.final[r - 1] != 0)
-        if carrier != col:
-            c0, r0 = col - 1, carrier - 1
-            rows[c0], rows[r0] = rows[r0], [(-x) % p for x in rows[c0]]
-            a = eletter(col, carrier)
-            b = eletter(carrier, col, -1)
-            temporal.extend((a, b, a))
-
-    for j in range(2, n + 1):
-        inv = inverse_mod(rows[j - 1][j - 1], p)
-        for i in range(1, j):
-            v = rows[i - 1][j - 1]
-            if v == 0:
-                continue
-            t = (-v * inv) % p
-            chunk = compress_power_modp(n, i, j, t, p)
-            temporal.extend(reversed(chunk.letters))
-            rows[i - 1] = [(x + t * y) % p for x, y in zip(rows[i - 1], rows[j - 1])]
-
+        red.clear_column(col)
+    red.clear_upper()
+    rows = red.rows
     for i in range(1, n):
         a = rows[i - 1][i - 1]
         if a == 1:
             continue
-        g = diagonal_clear_gadget(n, i, a, rows[i][i], p)
-        temporal.extend(reversed(g.letters))
+        red.out.extend(diagonal_clear_gadget(n, i, a, rows[i][i], p).inverse().letters)
         ainv = inverse_mod(a, p)
         rows[i - 1] = [x * ainv % p for x in rows[i - 1]]
         rows[i] = [x * a % p for x in rows[i]]
-
-    if any(rows[r][c] != (1 if r == c else 0) for r in range(n) for c in range(n)):
-        raise InternalStateError("reduction did not reach the identity")
-    return Word(n, tuple(l.inverse() for l in temporal))
+    red.check_identity()
+    return Word(n, tuple(red.out))
 
 
 def length_bound_modp(n: int, p: int, c: float = DEFAULT_C) -> float:

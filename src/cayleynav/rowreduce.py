@@ -1,0 +1,112 @@
+"""One row-reduction engine for SL_N(Z) and SL_N(F_p).
+
+A RowReducer holds a working matrix, over Z when p is None and over Z/p
+otherwise, and premultiplies it by elementary words.  Each operation
+appends the inverse of its premultiplier to the output word at once, so
+the output read left to right evaluates to the input matrix as soon as
+the working matrix reaches the identity; no letter is inverted later.
+
+The row operation row_i += q * row_j emits compress_power(n, i, j, -q).
+Column clearing folds the column into a carrier row by Euclidean division
+(euclid.division_steps, the same moves and auxiliary indices as
+accelerated_reduce) and moves the carrier onto the diagonal with a signed
+swap; upper clearing zeroes the strict upper triangle column by column.
+Over Z/p the column entries are lifted residues in [0, p), so the division
+runs on integers and the exponents stay below p, and upper clearing takes
+its exponents in the least-absolute window (-p/2, p/2].
+"""
+
+from .compression import compress_power
+from .core import eletter, inverse_mod, least_abs_residue
+from .errors import InternalStateError, UnsupportedDimensionError
+from .euclid import aux_index, division_steps
+
+
+class RowReducer:
+    """Working rows, their output word and, over Z, the largest entry met.
+
+    peak starts at the sup norm of the input and takes the new row of every
+    row operation into account; a compressed chunk is one operation.
+    """
+
+    __slots__ = ("n", "p", "rows", "out", "peak")
+
+    def __init__(self, rows: list[list[int]], p: int | None = None):
+        self.n = len(rows)
+        self.p = p
+        self.rows = rows
+        self.out: list = []
+        self.peak = max(abs(x) for row in rows for x in row)
+
+    def _is_unit(self, v: int) -> bool:
+        return v in (1, -1) if self.p is None else v != 0
+
+    def add(self, i: int, j: int, q: int, aux: int | None = None) -> None:
+        """row_i += q * row_j, emitting compress_power(n, i, j, -q, aux)."""
+        rows, p = self.rows, self.p
+        if p is None:
+            rows[i - 1] = new = [x + q * y for x, y in zip(rows[i - 1], rows[j - 1])]
+            self.peak = max(self.peak, max(map(abs, new)))
+        else:
+            rows[i - 1] = [(x + q * y) % p for x, y in zip(rows[i - 1], rows[j - 1])]
+        self.out.extend(compress_power(self.n, i, j, -q, aux).letters)
+
+    def swap(self, i: int, j: int) -> None:
+        """Row i takes row j and row j the negated row i.
+
+        The premultiplier is e(i,j) e(j,i)^-1 e(i,j); its inverse is emitted.
+        """
+        rows, p = self.rows, self.p
+        neg = [-x for x in rows[i - 1]] if p is None else [-x % p for x in rows[i - 1]]
+        rows[i - 1], rows[j - 1] = rows[j - 1], neg
+        a = eletter(i, j, -1)
+        self.out.extend((a, eletter(j, i), a))
+
+    def clear_column(self, col: int) -> None:
+        """Zero column col below the diagonal, leaving a unit pivot at (col, col)."""
+        n, rows = self.n, self.rows
+        if n < 3:
+            raise UnsupportedDimensionError(f"column clearing needs dimension >= 3, got {n}")
+        for d in range(col - 1):
+            if not self._is_unit(rows[d][d]):
+                raise InternalStateError(f"pivot at column {d + 1} is {rows[d][d]}, not a unit")
+            if any(rows[r][d] != 0 for r in range(d + 1, n)):
+                raise InternalStateError(f"column {d + 1} is not cleared below the diagonal")
+        vals = [row[col - 1] for row in rows]
+        if all(v == 0 for v in vals[col - 1 :]):
+            raise InternalStateError(f"column {col} is zero at and below the diagonal")
+        active = range(col, n + 1)
+        k = n - col + 1
+        for a, b, m in division_steps(vals, active):
+            self.add(a, b, m, aux_index(n, k, a, b))
+        carrier = next(r for r in active if vals[r - 1] != 0)
+        if carrier != col:
+            self.swap(col, carrier)
+        pivot = rows[col - 1][col - 1]
+        if not self._is_unit(pivot):
+            raise InternalStateError(f"gcd of column {col} is {pivot}, matrix is not unimodular")
+
+    def clear_upper(self) -> None:
+        """Zero the strict upper triangle, column by column from the left.
+
+        Over Z every pivot must be 1; over Z/p any nonzero pivot is divided
+        out of the exponent.
+        """
+        n, p, rows = self.n, self.p, self.rows
+        for r in range(n):
+            if any(rows[r][:r]) or (rows[r][r] != 1 if p is None else rows[r][r] == 0):
+                raise InternalStateError(
+                    "matrix is not upper unitriangular" if p is None
+                    else "matrix is not upper triangular with nonzero pivots"
+                )
+        for j in range(2, n + 1):
+            inv = 1 if p is None else inverse_mod(rows[j - 1][j - 1], p)
+            for i in range(1, j):
+                v = rows[i - 1][j - 1]
+                if v != 0:
+                    self.add(i, j, -v if p is None else least_abs_residue(-v * inv, p))
+
+    def check_identity(self) -> None:
+        n, rows = self.n, self.rows
+        if any(rows[r][c] != (1 if r == c else 0) for r in range(n) for c in range(n)):
+            raise InternalStateError("reduction did not reach the identity")

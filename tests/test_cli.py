@@ -373,6 +373,40 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 4 and "error:" in err
 
 
+def test_cli_unreadable_file_is_a_parse_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    rc, out, err = run(capsys, "verify", "--matrix", missing, "e(1,2)")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
+    rc, out, err = run(capsys, "normal-form", missing)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
+    rc, _, err = run(capsys, "normal-form", str(tmp_path))
+    assert rc == 2 and err.startswith("error: cannot read")
+    binary = tmp_path / "m.bin"
+    binary.write_bytes(b"3\n\xff\xfe\n")
+    rc, _, err = run(capsys, "normal-form", str(binary))
+    assert rc == 2 and err.startswith("error: cannot read")
+
+
+def test_cli_reduce_modp_refuses_a_strong_pseudoprime(monkeypatch, capsys):
+    # a modulus the matrix header names must be prime, like "2 6" in
+    # test_matrix_text_parse_errors; 318665857834031151167461 is
+    # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+    body = "\n1 1 0\n0 1 0\n0 0 1\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 318665857834031151167461" + body))
+    rc, out, err = run(capsys, "reduce-modp")
+    assert rc == 2 and out == ""
+    assert "is not prime" in err
+    # beyond the exact range of the primality test the modulus is refused
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 3317044064679887385961981" + body))
+    rc, out, err = run(capsys, "reduce-modp")
+    assert rc == 2 and out == ""
+    assert "not decided" in err
+    rc, out, err = run(capsys, "compress", "3", "1", "2", "5", "--modp", "3317044064679887385961981")
+    assert rc == 3 and out == "" and "not decided" in err
+
+
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -5,7 +5,6 @@ import pytest
 
 from cayleynav.compression import (
     compress_power,
-    compress_power_3,
     compress_power_modp,
     fib_power_word,
     zeckendorf_power_word,
@@ -173,11 +172,6 @@ def test_compress_power_argument_validation():
         compress_power(3, 1, 2, 5, aux=1)
     with pytest.raises(InvalidGeneratorError):
         compress_power(3, 1, 2, 5, aux=4)
-
-
-def test_compress_power_3_is_the_dim3_shortcut():
-    for m in (0, 1, -5, 100, -12345):
-        assert compress_power_3(m) == compress_power(3, 1, 3, m)
 
 
 def test_compress_power_modp_reduces_exponent_first():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleynav.core import (
     MatFp,
@@ -176,3 +178,12 @@ def test_length_bound_modp_scales():
     assert length_bound_modp(3, 101, c=1.0) * DEFAULT_C == pytest.approx(
         length_bound_modp(3, 101)
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.sampled_from((2**64 - 59, 2**61 - 1)), st.integers(0, 2**32))
+def test_word_for_modp_round_trip_near_2_64(n, p, seed):
+    m = random_sl_fp(n, p, random.Random(seed))
+    w = word_for_modp(m)
+    assert eval_word_fp(w, p) == m
+    assert len(w) <= length_bound_modp(n, p)
