@@ -94,14 +94,36 @@ def eij_ab_word(i: int, j: int, n: int) -> Word:
     )
 
 
+# Letter codes for the rewriting: the inverse of code c is 3 - c.
+_AB_LETTERS = (abletter("A"), abletter("B"), abletter("B", -1), abletter("A", -1))
+
+
+@lru_cache(maxsize=None)
+def _piece(i: int, j: int, e: int, n: int) -> tuple[int, ...]:
+    """Letter codes of the freely reduced A, B word for e(i, j)^e."""
+    w = eij_ab_word(i, j, n)
+    if e < 0:
+        w = w.inverse()
+    return tuple(_AB_LETTERS.index(l) for l in w.free_reduce().letters)
+
+
 def rewrite_word_ab(w: Word) -> Word:
-    """Substitute an A, B word for every letter of an elementary word."""
+    """Substitute an A, B word for every letter of an elementary word.
+
+    The result is freely reduced.  Each substituted piece is freely reduced
+    already, so cancellation only happens where a piece meets the output
+    so far: a stack of letter codes absorbs the piece's head and keeps the
+    rest.  Codes become letters once, at the end.
+    """
     if w.letters and w.alphabet != ELEMENTARY:
         raise DomainError("rewriting expects a word over elementary letters")
-    letters: list = []
+    n = w.n
+    out: list[int] = []
     for l in w.letters:
-        piece = eij_ab_word(l.i, l.j, w.n)
-        if l.e < 0:
-            piece = piece.inverse()
-        letters.extend(piece.letters)
-    return Word(w.n, tuple(letters)).free_reduce()
+        piece = _piece(l.i, l.j, l.e, n)
+        k = 0
+        while out and k < len(piece) and out[-1] == 3 - piece[k]:
+            out.pop()
+            k += 1
+        out.extend(piece[k:])
+    return Word(n, tuple(map(_AB_LETTERS.__getitem__, out)))

@@ -7,15 +7,14 @@ All of them are exponential in nature, so every entry point checks its
 state budget before touching memory.
 """
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (
     AB,
     ELEMENTARY,
     MatFp,
     abletter,
-    apply_letter_fp,
     apply_letter_z,
     determinant_fp,
     eletter,
@@ -55,53 +54,150 @@ def generator_letters(n: int, alphabet: str = ELEMENTARY) -> list:
     raise DomainError(f"unknown alphabet {alphabet!r}")
 
 
-def _distances(n: int, p: int, alphabet: str, budget: int, target: tuple | None = None) -> dict:
-    """Breadth-first distances from the identity, stopping once target is found.
+class _EntrywiseRowSums:
+    """Row sums row_i + s * row_j, looked up entry by entry in a p x p table.
 
-    Only newly discovered states are compared with the target.
+    Indexed like a row-pair table, by row_i * p**n + row_j, for dimensions
+    where a row-pair table would exceed the group order (n = 2).
+    """
+
+    def __init__(self, rows: list, p: int, s: int):
+        self.rows, self.p, self.size = rows, p, len(rows)
+        self.sums = [(x + s * y) % p for x in range(p) for y in range(p)]
+
+    def __getitem__(self, k: int) -> int:
+        ri, rj = divmod(k, self.size)
+        p, sums, out = self.p, self.sums, 0
+        for x, y in zip(self.rows[ri], self.rows[rj]):
+            out = out * p + sums[x * p + y]
+        return out
+
+
+def _packing(n: int, p: int, alphabet: str, order: int):
+    """Packed states of SL_n(F_p) and the generators' moves on them.
+
+    A state is the int sum(row_k * P**k) with P = p**n, where row_k is the
+    base-p code of row k, its first entry most significant.  e(i, j)^s and
+    A^s look up the new row i in a table indexed by row_i * P + row_j, then
+    move to c + (new - row_i) * P**i.  B^s rotates the rows:
+    c // P + neg[row_0] * P**(n-1), and its mirror, where neg negates a row
+    when n is even (the corner sign of B).  No table is larger than the
+    group order: where a row-pair table (p**(2n) entries) would be, that
+    is for n = 2, the row sums come entry by entry from a p x p table.
+
+    Returns (encode, decode, step): flat entry tuples to packed states and
+    back, and step(c), the list of neighbours of c in the order of
+    generator_letters(n, alphabet).
+    """
+    P = p**n
+    top = P ** (n - 1)
+    weights = [P**k for k in range(n)]
+    places = [w * p ** (n - 1 - col) for w in weights for col in range(n)]
+    rows = list(product(range(p), repeat=n))  # rows[code] = entries of that row code
+
+    def encode(key: tuple) -> int:
+        return sum(x * q for x, q in zip(key, places))
+
+    def decode(c: int) -> tuple:
+        return tuple(x for w in weights for x in rows[c // w % P])
+
+    def row_sums(s: int) -> list:
+        # The sum is taken entry by entry, so for a fixed row a the codes of
+        # a + s * b over all b (in code order) are sums of one place-valued
+        # entry per column: a product over the columns.
+        columns = [
+            [[(x + s * y) % p * p ** (n - 1 - col) for y in range(p)] for x in range(p)]
+            for col in range(n)
+        ]
+        return [
+            v for a in rows for v in map(sum, product(*(columns[col][x] for col, x in enumerate(a))))
+        ]
+
+    # sums[s][row_i * P + row_j] is the code of row_i + s * row_j
+    if p ** (2 * n) <= order:
+        sums = {s: row_sums(s) for s in (1, -1)}
+    else:
+        sums = {s: _EntrywiseRowSums(rows, p, s) for s in (1, -1)}
+
+    if alphabet == AB:
+        sign = (-1) ** (n - 1)
+        neg = [encode(tuple(sign * x % p for x in row)) for row in rows]
+        add, sub = sums[1], sums[-1]
+
+        def step(c: int) -> list:
+            r0 = c % P
+            k = r0 * P + c // P % P
+            return [
+                c + add[k] - r0,
+                c + sub[k] - r0,
+                c // P + neg[r0] * top,
+                c % top * P + neg[c // top],
+            ]
+
+        return encode, decode, step
+
+    ops = [(l.i - 1, l.j - 1, sums[l.e], weights[l.i - 1]) for l in generator_letters(n, alphabet)]
+
+    def step(c: int) -> list:
+        r = [c // w % P for w in weights]
+        return [c + (tab[r[i] * P + r[j]] - r[i]) * w for i, j, tab, w in ops]
+
+    return encode, decode, step
+
+
+def _search(n: int, p: int, alphabet: str, budget: int, target: tuple | None = None):
+    """Breadth-first levels from the identity over packed states.
+
+    Returns (levels, decode): levels[d] lists the packed states at distance
+    d in discovery order, and decode turns one back into its flat entry
+    tuple.  With a target, the search stops as soon as the target is
+    discovered, which makes it the last state of the last level; only newly
+    discovered states are compared with it.
     """
     order = sl_group_order(n, p)
     if order > budget:
         raise BudgetExceededError(
             f"SL_{n}(F_{p}) has {order} elements, over the budget of {budget}"
         )
-    letters = generator_letters(n, alphabet)
-    start = tuple(1 if r == c else 0 for r in range(n) for c in range(n))
-    dist = {start: 0}
-    if target == start:
-        return dist
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
+    encode, decode, step = _packing(n, p, alphabet, order)
+    start = encode(tuple(1 if r == c else 0 for r in range(n) for c in range(n)))
+    goal = -1 if target is None else encode(target)
+    levels = [[start]]
+    if goal == start:
+        return levels, decode
+    seen = {start}
+    add = seen.add
+    while True:
         nxt = []
-        for key in frontier:
-            rows = [list(key[r * n : (r + 1) * n]) for r in range(n)]
-            for letter in letters:
-                out = rows[:]
-                apply_letter_fp(out, letter, p)
-                k2 = tuple(x for row in out for x in row)
-                if k2 not in dist:
-                    dist[k2] = d
-                    nxt.append(k2)
-                    if k2 == target:
-                        return dist
-        frontier = nxt
-    if len(dist) != order:
+        app = nxt.append
+        for c in levels[-1]:
+            for c2 in step(c):
+                if c2 not in seen:
+                    add(c2)
+                    app(c2)
+                    if c2 == goal:
+                        levels.append(nxt)
+                        return levels, decode
+        if not nxt:
+            break
+        levels.append(nxt)
+    if len(seen) != order:
         raise InternalStateError(
-            f"reached {len(dist)} elements, expected {order}: generators do not generate"
+            f"reached {len(seen)} elements, expected {order}: generators do not generate"
         )
-    return dist
+    return levels, decode
 
 
 def bfs_distance_map(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = DEFAULT_BUDGET) -> dict:
     """Exact distance from the identity for every element of SL_n(F_p).
 
-    Keys are flat row-major entry tuples.  Elementary letters and the two
-    shift generators act as O(n) row operations, so the cost is linear in
-    the number of group elements times generators.
+    Keys are flat row-major entry tuples.  The search runs on packed
+    integer states, one table lookup per generator, so the cost is linear
+    in the number of group elements times generators; states are decoded
+    into tuples only at the end.
     """
-    return _distances(n, p, alphabet, budget)
+    levels, decode = _search(n, p, alphabet, budget)
+    return {decode(c): d for d, level in enumerate(levels) for c in level}
 
 
 @dataclass(frozen=True)
@@ -118,9 +214,9 @@ class DiameterReport:
 
 def bfs_diameter(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = DEFAULT_BUDGET) -> DiameterReport:
     """Exact diameter of SL_n(F_p) and the count of elements per distance."""
-    dist = bfs_distance_map(n, p, alphabet, budget)
-    hist = dict(sorted(Counter(dist.values()).items()))
-    return DiameterReport(n, p, alphabet, len(dist), max(dist.values()), hist)
+    levels, _ = _search(n, p, alphabet, budget)
+    hist = {d: len(level) for d, level in enumerate(levels)}
+    return DiameterReport(n, p, alphabet, sum(hist.values()), len(levels) - 1, hist)
 
 
 def bfs_distance_fp(m: MatFp, alphabet: str = ELEMENTARY, budget: int = DEFAULT_BUDGET) -> int:
@@ -128,7 +224,10 @@ def bfs_distance_fp(m: MatFp, alphabet: str = ELEMENTARY, budget: int = DEFAULT_
     if determinant_fp(m) != 1:
         raise NotInGroupError("matrix is not in SL: determinant is not 1 mod p")
     target = m.key()
-    return _distances(m.n, m.p, alphabet, budget, target)[target]
+    levels, decode = _search(m.n, m.p, alphabet, budget, target)
+    if decode(levels[-1][-1]) != target:
+        raise InternalStateError(f"search ended without reaching {target}")
+    return len(levels) - 1
 
 
 def bfs_ball_sl2z(radius: int, budget: int = DEFAULT_BUDGET) -> dict:

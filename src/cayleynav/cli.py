@@ -3,7 +3,8 @@
 Exit codes: 0 success (for verify: words match), 1 verify mismatch,
 2 malformed input or arguments or an unreadable input file, 3 domain
 errors (wrong determinant, unsupported dimension, bad indices),
-4 exhausted state budgets.
+4 exhausted state budgets, 5 any other exception (an internal error,
+reported on one line).
 Logarithms in reported bounds and ratios are natural.
 """
 
@@ -367,6 +368,9 @@ def main(argv=None) -> int:
     except CayleyNavError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

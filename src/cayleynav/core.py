@@ -54,15 +54,23 @@ class GenLetter:
 
 
 @lru_cache(maxsize=None)
+def _letter(alphabet: str, e: int, i: int, j: int, sym: str) -> GenLetter:
+    return GenLetter(alphabet, e, i, j, sym)
+
+
+# The caches below key on the arguments as spelled, so eletter(1, 2) and
+# eletter(1, 2, 1) are separate entries; both resolve to one object through
+# _letter, which is always called with every field in order.
+@lru_cache(maxsize=None)
 def eletter(i: int, j: int, e: int = 1) -> GenLetter:
     """Interned elementary letter e(i, j)^e."""
-    return GenLetter(ELEMENTARY, e, i, j)
+    return _letter(ELEMENTARY, e, i, j, "")
 
 
 @lru_cache(maxsize=None)
 def abletter(sym: str, e: int = 1) -> GenLetter:
     """Interned AB letter A^e or B^e."""
-    return GenLetter(AB, e, sym=sym)
+    return _letter(AB, e, 0, 0, sym)
 
 
 @dataclass(frozen=True, slots=True)

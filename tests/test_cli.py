@@ -407,6 +407,19 @@ def test_cli_reduce_modp_refuses_a_strong_pseudoprime(monkeypatch, capsys):
     assert rc == 3 and out == "" and "not decided" in err
 
 
+def test_cli_internal_error_is_one_line_exit_5(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("table went missing")
+
+    monkeypatch.setattr("cayleynav.cli.cmd_zeckendorf", broken)
+    rc, out, err = run(capsys, "zeckendorf", "100")
+    assert rc == 5 and out == ""
+    assert err == "error: internal: RuntimeError: table went missing\n"
+    # typed errors keep their own codes
+    rc, _, _ = run(capsys, "compress", "3", "1", "1", "5")
+    assert rc == 3
+
+
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])

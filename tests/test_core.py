@@ -157,6 +157,16 @@ def test_letter_tokens_and_inverse():
     assert eletter(1, 3, -1) is eletter(1, 3, -1)
 
 
+def test_letter_interning_ignores_argument_spelling():
+    assert eletter(1, 2) is eletter(1, 2, 1)
+    assert eletter(1, 2, e=1) is eletter(i=1, j=2)
+    assert eletter(2, 1, -1) is eletter(2, 1, e=-1)
+    assert abletter("A") is abletter("A", 1)
+    assert abletter("B", e=-1) is abletter(sym="B", e=-1)
+    assert eletter(1, 2) is not eletter(1, 2, -1)
+    assert abletter("A") is not abletter("B")
+
+
 def test_elementary_matrix_values():
     m = elementary_matrix(3, 1, 3, -1)
     assert m.rows == ((1, 0, -1), (0, 1, 0), (0, 0, 1))

@@ -1,4 +1,5 @@
-"""Golden words: SHA-256 digests of the exact words both pipelines emit.
+"""Golden words: SHA-256 digests of the exact words both pipelines emit,
+and of the exact outputs of the oracles (BFS and A/B rewriting).
 
 The corpora are seeded, so any change in the letters, their order, the
 per-phase counts or the recorded norms changes a digest.  A refactor that
@@ -11,7 +12,9 @@ import random
 
 import pytest
 
-from cayleynav.core import MatFp, MatZ, determinant_fp
+from cayleynav.abwords import rewrite_word_ab
+from cayleynav.bfs import bfs_diameter, bfs_distance_map
+from cayleynav.core import AB, ELEMENTARY, MatFp, MatZ, Word, determinant_fp, eletter
 from cayleynav.modp import random_sl_fp, word_for_modp
 from cayleynav.normalform import (
     column_clear_phase,
@@ -121,3 +124,70 @@ def test_golden_word_for_modp_random(n, p):
     rng = random.Random(f"golden:{n}:{p}")
     words = [word_for_modp(random_sl_fp(n, p, rng)).tokens() for _ in range(12)]
     assert digest(words) == GOLDEN_FP[(n, p)]
+
+
+# ---------------------------------------------------------------- oracles
+# Exact BFS histograms and distance maps, and the A/B rewriting of seeded
+# words.  The even-dimension A/B cases exercise the sign row of the shift B.
+
+GOLDEN_HISTOGRAMS = {
+    (3, 3, ELEMENTARY): [1, 12, 96, 486, 1683, 2692, 640, 6],
+    (3, 3, AB): [1, 4, 8, 16, 32, 64, 120, 200, 334, 530, 820, 1104, 1205, 824, 282, 62, 10],
+    (4, 2, ELEMENTARY): [1, 12, 96, 542, 2058, 5316, 7530, 4058, 541, 6],
+    (4, 2, AB): [
+        1, 3, 5, 8, 13, 21, 31, 46, 68, 98, 142, 202, 288, 418, 583,
+        775, 1037, 1412, 1841, 2383, 3015, 2794, 2435, 1635, 596, 224, 63, 22, 1,
+    ],
+    (3, 5, AB): [
+        1, 4, 10, 24, 56, 136, 320, 740, 1416, 2962, 6298, 13008, 25259,
+        44111, 73378, 97407, 79069, 25296, 2390, 112, 3,
+    ],
+    (2, 3, AB): [1, 4, 9, 10],
+    (2, 5, AB): [1, 4, 11, 18, 22, 20, 20, 16, 6, 2],
+}
+
+
+@pytest.mark.parametrize("n,p,alphabet", list(GOLDEN_HISTOGRAMS))
+def test_golden_bfs_histograms(n, p, alphabet):
+    hist = GOLDEN_HISTOGRAMS[(n, p, alphabet)]
+    rep = bfs_diameter(n, p, alphabet)
+    assert rep.histogram == dict(enumerate(hist))
+    assert (rep.order, rep.diameter) == (sum(hist), len(hist) - 1)
+
+
+GOLDEN_DISTANCE_MAPS = {
+    (2, 5, ELEMENTARY): "ae42483a6c8b81f0eec5c5ba20ebf91ff61913991de3d16f4b5ae0813fda0bbe",
+    (3, 3, ELEMENTARY): "d27288940158016fb892c27b843553757a7cf4d171258a98ed360bb79e597c90",
+    (3, 2, AB): "c9273e1b0c34429368463cd5ce999429bf91d19f382cdc0151fe8def819020b5",
+}
+
+
+@pytest.mark.parametrize("n,p,alphabet", list(GOLDEN_DISTANCE_MAPS))
+def test_golden_bfs_distance_maps(n, p, alphabet):
+    dist = bfs_distance_map(n, p, alphabet)
+    lines = (f"{k} {v}" for k, v in sorted(dist.items()))
+    assert digest(lines) == GOLDEN_DISTANCE_MAPS[(n, p, alphabet)]
+
+
+GOLDEN_AB = {
+    3: "2b87db89b03bc56053d4fe7bd278bb0adcaa3e8657b16864a06df8785c264ad3",
+    4: "3c82c3b06990736d73e0d16e1fbfcc05e21b1f8d467e4e548b2f9d5df5a3890d",
+    6: "25f4c2908a164117277b65a99df0294aac0e115ed0d686568f064b99770bc5d6",
+    12: "d2d21fcc1316397ef47f5e94c8b131e698c1fc5d505b4b23f3903f93fb7769d8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_AB))
+def test_golden_rewrite_word_ab(n):
+    rng = random.Random(f"golden:ab:{n}")
+    words = []
+    for length in (1, 7, 60, 400):
+        letters = []
+        for _ in range(length):
+            i, j = rng.sample(range(1, n + 1), 2)
+            letters.append(eletter(i, j, rng.choice((1, -1))))
+        w = Word(n, tuple(letters))
+        words.append(rewrite_word_ab(w).tokens())
+        # a word times its inverse rewrites to the empty word
+        assert len(rewrite_word_ab(w * w.inverse())) == 0
+    assert digest(words) == GOLDEN_AB[n]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleynav.bfs import bfs_distance_map
 from cayleynav.core import (
     MatFp,
     determinant_fp,
@@ -187,3 +188,26 @@ def test_word_for_modp_round_trip_near_2_64(n, p, seed):
     w = word_for_modp(m)
     assert eval_word_fp(w, p) == m
     assert len(w) <= length_bound_modp(n, p)
+
+
+def test_word_for_modp_is_never_shorter_than_the_bfs_distance():
+    # every element of SL_3(F_3), and a seeded sample of SL_3(F_5), against
+    # the exact Cayley distance over the elementary generators
+    details = []
+    for p, sample in ((3, None), (5, 1500)):
+        dist = bfs_distance_map(3, p)
+        keys = list(dist)
+        if sample is not None:
+            keys = random.Random(f"bfs-distance:{p}").sample(sorted(keys), sample)
+        worst = (0.0, 0, 0)
+        for key in keys:
+            m = MatFp(3, p, (key[0:3], key[3:6], key[6:9]))
+            length, d = len(word_for_modp(m)), dist[key]
+            assert length >= d, f"{m.rows}: word of {length} letters, distance {d}"
+            if d:
+                worst = max(worst, (length / d, length, d))
+        details.append(
+            f"p={p}: {len(keys)} elements, worst length/distance {worst[0]:.2f} "
+            f"({worst[1]} letters at distance {worst[2]})"
+        )
+    print("PROPERTY (word_for_modp length >= BFS distance): PASS " + "; ".join(details))
