@@ -15,7 +15,7 @@ from .core import (
     ELEMENTARY,
     MatFp,
     abletter,
-    apply_letter_z,
+    apply_letter,
     determinant_fp,
     eletter,
     is_prime,
@@ -254,7 +254,7 @@ def bfs_ball_sl2z(radius: int, budget: int = DEFAULT_BUDGET) -> dict:
             rows = [list(key[:2]), list(key[2:])]
             for letter in letters:
                 out = rows[:]
-                apply_letter_z(out, letter)
+                apply_letter(out, letter)
                 k2 = (*out[0], *out[1])
                 if k2 not in dist:
                     if max(abs(x) for x in k2) > bound:

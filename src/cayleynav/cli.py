@@ -265,7 +265,13 @@ def cmd_verify(args) -> int:
     if got == m:
         print(f"MATCH length={len(w)}")
         return 0
+    r, c = next((r, c) for r in range(m.n) for c in range(m.n) if got.rows[r][c] != m.rows[r][c])
     print("MISMATCH")
+    print(
+        f"first difference at row {r + 1}, column {c + 1}: "
+        f"expected {m.rows[r][c]}, got {got.rows[r][c]}",
+        file=sys.stderr,
+    )
     return 1
 
 

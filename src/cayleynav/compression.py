@@ -8,7 +8,7 @@ decomposition of |m|.  In SL_2 no such compression exists, which is why
 every operation here insists on N >= 3.
 """
 
-from .core import Word, eletter, least_abs_residue
+from .core import Word, eletter, is_prime, least_abs_residue
 from .errors import (
     DomainError,
     InvalidGeneratorError,
@@ -17,14 +17,13 @@ from .errors import (
 from .fibonacci import zeckendorf
 
 
-def _template_letters(mag, i, aux, j):
-    """Letters of the Zeckendorf template for e(i, j)^mag, mag >= 1.
+def _template_letters(ks, i, aux, j):
+    """Letters of the template carrying the ascending Fibonacci indices ks.
 
     Layout: t^-1 (t s)^-n  v  t^-1 (t s)^-n  u  t^2 where t = e(aux, j),
-    s = e(j, aux), u carries one letter per Zeckendorf index of mag and
+    s = e(j, aux), n = ks[-1] // 2, u carries one letter per index and
     v is u with the carried letters inverted.
     """
-    ks = zeckendorf(mag).indices
     kset = set(ks)
     half = ks[-1] // 2
     top = eletter(i, j)        # carried at even indices 2t
@@ -33,15 +32,16 @@ def _template_letters(mag, i, aux, j):
     s_pos = eletter(j, aux)
     u: list = []
     v: list = []
-    for t in range(half, 0, -1):
+    for t in range(half, -1, -1):
         if 2 * t in kset:
             u.append(top)
             v.append(top.inverse())
         if 2 * t + 1 in kset:
             u.append(mid)
             v.append(mid.inverse())
-        u.extend((t_pos, s_pos))
-        v.extend((t_pos, s_pos))
+        if t > 0:
+            u.extend((t_pos, s_pos))
+            v.extend((t_pos, s_pos))
     neg_block = [s_pos.inverse(), t_pos.inverse()] * half
     out = [t_pos.inverse()]
     out.extend(neg_block)
@@ -56,27 +56,15 @@ def _template_letters(mag, i, aux, j):
 def fib_power_word(n_blocks: int, parity: str) -> Word:
     """Word in dimension 3 for e(1,3)^F_{2n} ("even") or e(1,3)^F_{2n+1} ("odd").
 
-    Length is 6 + 8 * n_blocks.
+    This is the template carrying the single index 2n or 2n + 1; its length
+    is 6 + 8 * n_blocks.
     """
     if n_blocks < 0:
         raise DomainError(f"block count must be non-negative, got {n_blocks}")
     if parity not in ("even", "odd"):
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    x = eletter(1, 3) if parity == "even" else eletter(1, 2)
-    t_pos = eletter(2, 3)
-    s_pos = eletter(3, 2)
-    pos_block = [t_pos, s_pos] * n_blocks
-    neg_block = [s_pos.inverse(), t_pos.inverse()] * n_blocks
-    out = [t_pos.inverse()]
-    out.extend(neg_block)
-    out.append(x.inverse())
-    out.extend(pos_block)
-    out.append(t_pos.inverse())
-    out.extend(neg_block)
-    out.append(x)
-    out.extend(pos_block)
-    out.extend((t_pos, t_pos))
-    return Word(3, tuple(out))
+    k = 2 * n_blocks + (parity == "odd")
+    return Word(3, tuple(_template_letters((k,), 1, 2, 3)))
 
 
 def zeckendorf_power_word(m: int) -> Word:
@@ -87,7 +75,7 @@ def zeckendorf_power_word(m: int) -> Word:
     """
     if m < 1:
         raise DomainError(f"template needs m >= 1, got {m}")
-    return Word(3, tuple(_template_letters(m, 1, 2, 3)))
+    return Word(3, tuple(_template_letters(zeckendorf(m).indices, 1, 2, 3)))
 
 
 def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Word:
@@ -113,7 +101,7 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
     if m == 0:
         return Word(n)
     mag = abs(m)
-    template = _template_letters(mag, i, aux, j)
+    template = _template_letters(zeckendorf(mag).indices, i, aux, j)
     if mag <= len(template):
         return Word(n, (eletter(i, j, 1 if m > 0 else -1),) * mag)
     if m < 0:
@@ -127,8 +115,6 @@ def compress_power_modp(n: int, i: int, j: int, m: int, p: int, aux: int | None 
     The exponent is first replaced by its least-absolute-value residue in
     (-p/2, p/2], so the word length scales with log p rather than log m.
     """
-    from .core import is_prime
-
     if not is_prime(p):
         raise DomainError(f"modulus {p} is not prime")
     return compress_power(n, i, j, least_abs_residue(m, p), aux)

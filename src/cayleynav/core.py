@@ -258,64 +258,42 @@ def letter_matrix_z(letter: GenLetter, n: int) -> MatZ:
     return ab_matrix(n, letter.sym, letter.e)
 
 
-def apply_letter_z(rows: list[list[int]], letter: GenLetter) -> None:
-    """Premultiply the row-list matrix by one letter, in place."""
+def apply_letter(rows: list[list[int]], letter: GenLetter, p: int | None = None) -> None:
+    """Premultiply the row-list matrix by one letter in place, mod p unless p is None."""
     if letter.alphabet == ELEMENTARY:
         i, j = letter.i - 1, letter.j - 1
-        s = letter.e
+    elif letter.sym == "A":
+        i, j = 0, 1
+    else:  # B sends row 1 to the bottom, B^-1 row N to the top, times (-1)^(N-1)
+        moved = rows.pop(0 if letter.e == 1 else -1)
+        if len(rows) % 2:
+            moved = [-x for x in moved] if p is None else [-x % p for x in moved]
+        rows.insert(len(rows) if letter.e == 1 else 0, moved)
+        return
+    s = letter.e
+    if p is None:
         rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
-    elif letter.sym == "A":
-        s = letter.e
-        rows[0] = [x + s * y for x, y in zip(rows[0], rows[1])]
     else:
-        sign = (-1) ** (len(rows) - 1)
-        if letter.e == 1:
-            first = rows[0]
-            rows[:-1] = rows[1:]
-            rows[-1] = [sign * x for x in first]
-        else:
-            last = rows[-1]
-            rows[1:] = rows[:-1]
-            rows[0] = [sign * x for x in last]
-
-
-def apply_letter_fp(rows: list[list[int]], letter: GenLetter, p: int) -> None:
-    """Premultiply the row-list matrix by one letter, mod p, in place."""
-    if letter.alphabet == ELEMENTARY:
-        i, j = letter.i - 1, letter.j - 1
-        s = letter.e
         rows[i] = [(x + s * y) % p for x, y in zip(rows[i], rows[j])]
-    elif letter.sym == "A":
-        s = letter.e
-        rows[0] = [(x + s * y) % p for x, y in zip(rows[0], rows[1])]
-    else:
-        sign = (-1) ** (len(rows) - 1)
-        if letter.e == 1:
-            first = rows[0]
-            rows[:-1] = rows[1:]
-            rows[-1] = [sign * x % p for x in first]
-        else:
-            last = rows[-1]
-            rows[1:] = rows[:-1]
-            rows[0] = [sign * x % p for x in last]
+
+
+def _eval_rows(w: Word, p: int | None) -> tuple[tuple[int, ...], ...]:
+    rows = [[1 if r == c else 0 for c in range(w.n)] for r in range(w.n)]
+    for letter in reversed(w.letters):
+        apply_letter(rows, letter, p)
+    return tuple(map(tuple, rows))
 
 
 def eval_word_z(w: Word) -> MatZ:
     """Exact integer product of the word's letters, left to right."""
-    rows = [[1 if r == c else 0 for c in range(w.n)] for r in range(w.n)]
-    for letter in reversed(w.letters):
-        apply_letter_z(rows, letter)
-    return MatZ(w.n, tuple(tuple(r) for r in rows))
+    return MatZ(w.n, _eval_rows(w, None))
 
 
 def eval_word_fp(w: Word, p: int) -> MatFp:
     """Product of the word's letters reduced mod the prime p."""
     if not is_prime(p):
         raise DomainError(f"modulus {p} is not prime")
-    rows = [[1 if r == c else 0 for c in range(w.n)] for r in range(w.n)]
-    for letter in reversed(w.letters):
-        apply_letter_fp(rows, letter, p)
-    return MatFp(w.n, p, tuple(tuple(r) for r in rows))
+    return MatFp(w.n, p, _eval_rows(w, p))
 
 
 def sup_norm(m: MatZ) -> int:
@@ -323,8 +301,8 @@ def sup_norm(m: MatZ) -> int:
     return max(abs(x) for row in m.rows for x in row)
 
 
-def determinant(m: MatZ) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+def determinant(m: MatZ | MatFp) -> int:
+    """Exact determinant of the entries by fraction-free (Bareiss) elimination."""
     n = m.n
     a = [list(r) for r in m.rows]
     sign = 1
@@ -347,43 +325,8 @@ def determinant(m: MatZ) -> int:
 
 
 def determinant_fp(m: MatFp) -> int:
-    """Determinant of a mod-p matrix as a residue in [0, p)."""
-    n, p = m.n, m.p
-    a = [list(r) for r in m.rows]
-    det = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] % p != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k] % p
-        inv = inverse_mod(a[k][k], p)
-        for r in range(k + 1, n):
-            f = a[r][k] * inv % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[k])]
-    return det % p
-
-
-def mat_fp_inverse(m: MatFp) -> MatFp:
-    """Inverse of a mod-p matrix by Gauss-Jordan elimination."""
-    n, p = m.n, m.p
-    a = [[*m.rows[r], *(1 if c == r else 0 for c in range(n))] for r in range(n)]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] % p != 0), None)
-        if piv is None:
-            raise DomainError("matrix is singular mod p")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        inv = inverse_mod(a[k][k], p)
-        a[k] = [x * inv % p for x in a[k]]
-        for r in range(n):
-            if r != k and a[r][k]:
-                f = a[r][k]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[k])]
-    return MatFp(n, p, tuple(tuple(row[n:]) for row in a))
+    """Determinant of a mod-p matrix as a residue in [0, p), by Bareiss on the residues."""
+    return determinant(m) % m.p
 
 
 def mat_z_mod(m: MatZ, p: int) -> MatFp:

@@ -7,9 +7,11 @@ and above-diagonal entries are cleared with exponents taken mod p, so
 every chunk costs O(log p) letters.  What changes is the endgame.  Pivots
 are arbitrary nonzero residues rather than +-1, and the leftover diagonal
 is swept to the identity by a cascade of two-row gadgets, each realizing
-diag(a^-1, a) out of four transvection powers.  As in the integer
-pipeline, the inverse of every premultiplier is appended as it is
-applied, so the letters come out in the order of the final word.
+diag(a^-1, a) out of a signed swap and three transvection powers.  The
+gadgets run as engine row operations too, so the final identity check
+covers every letter they emit.  As in the integer pipeline, the inverse
+of every premultiplier is appended as it is applied, so the letters come
+out in the order of the final word.
 
 Total length is bounded by c * n^2 * ln p; DEFAULT_C was pinned by
 measuring the exhaustive and sampled reports in the test grid.
@@ -20,20 +22,33 @@ import random
 from dataclasses import dataclass
 
 from .bfs import DEFAULT_BUDGET, bfs_distance_map, sl_group_order
-from .compression import compress_power
 from .core import (
     MatFp,
     Word,
     determinant_fp,
-    eletter,
     inverse_mod,
     is_prime,
     least_abs_residue,
 )
-from .errors import DomainError, NotInGroupError, UnsupportedDimensionError
+from .errors import DomainError, InternalStateError, NotInGroupError, UnsupportedDimensionError
 from .rowreduce import RowReducer
 
 DEFAULT_C = 12.0
+
+
+def _clear_pair(red: RowReducer, i: int, a: int) -> None:
+    """Premultiply rows (i, i+1) of the engine by diag(a^-1, a) mod p.
+
+    These are the gadget's moves as engine row operations: the signed swap,
+    then e(j,i)^a, e(i,j)^(-a^-1), e(j,i)^a, j = i+1, each exponent taken
+    in (-p/2, p/2].
+    """
+    p, j = red.p, i + 1
+    q = least_abs_residue(a, p)
+    red.swap(i, j)
+    red.add(j, i, q)
+    red.add(i, j, least_abs_residue(-inverse_mod(a, p), p))
+    red.add(j, i, q)
 
 
 def diagonal_clear_gadget(n: int, i: int, a: int, b: int, p: int) -> Word:
@@ -52,12 +67,9 @@ def diagonal_clear_gadget(n: int, i: int, a: int, b: int, p: int) -> Word:
     a %= p
     if a == 0 or b % p == 0:
         raise DomainError("diagonal entries must be nonzero mod p")
-    j = i + 1
-    ainv = inverse_mod(a, p)
-    s1 = Word(n, (eletter(i, j), eletter(j, i, -1), eletter(i, j)))
-    s2 = compress_power(n, j, i, least_abs_residue(a, p))
-    s3 = compress_power(n, i, j, least_abs_residue(-ainv, p))
-    return s2 * s3 * s2 * s1
+    red = RowReducer([[1 if r == c else 0 for c in range(n)] for r in range(n)], p)
+    _clear_pair(red, i, a)
+    return Word(n, tuple(red.out)).inverse()
 
 
 def word_for_modp(m: MatFp) -> Word:
@@ -71,15 +83,12 @@ def word_for_modp(m: MatFp) -> Word:
     for col in range(1, n):
         red.clear_column(col)
     red.clear_upper()
-    rows = red.rows
     for i in range(1, n):
-        a = rows[i - 1][i - 1]
-        if a == 1:
-            continue
-        red.out.extend(diagonal_clear_gadget(n, i, a, rows[i][i], p).inverse().letters)
-        ainv = inverse_mod(a, p)
-        rows[i - 1] = [x * ainv % p for x in rows[i - 1]]
-        rows[i] = [x * a % p for x in rows[i]]
+        a = red.rows[i - 1][i - 1]
+        if a == 0:
+            raise InternalStateError(f"diagonal entry {i} is zero before its gadget")
+        if a != 1:
+            _clear_pair(red, i, a)
     red.check_identity()
     return Word(n, tuple(red.out))
 

@@ -355,6 +355,18 @@ def test_cli_verify_tokens_and_mismatch(tmp_path, capsys):
     assert out.strip() == "MISMATCH"
 
 
+def test_cli_verify_mismatch_names_the_first_differing_entry(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("3\n1 1 0\n0 1 0\n0 0 1\n")
+    rc, out, err = run(capsys, "verify", "--matrix", str(path), "e(1,3)")
+    assert rc == 1 and out == "MISMATCH\n"
+    assert err == "first difference at row 1, column 2: expected 1, got 0\n"
+    path.write_text("3 5\n1 0 0\n0 1 0\n0 4 1\n")
+    rc, out, err = run(capsys, "verify", "--matrix", str(path), "e(3,2)", "e(2,1)")
+    assert rc == 1 and out == "MISMATCH\n"
+    assert err == "first difference at row 2, column 1: expected 0, got 1\n"
+
+
 def test_cli_verify_modp(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("3 5\n1 2 0\n0 1 0\n0 0 1\n")

@@ -15,7 +15,7 @@ from cayleynav.core import (
     Word,
     ab_matrix,
     abletter,
-    apply_letter_z,
+    apply_letter,
     determinant,
     determinant_fp,
     eletter,
@@ -26,7 +26,6 @@ from cayleynav.core import (
     is_prime,
     least_abs_residue,
     letter_matrix_z,
-    mat_fp_inverse,
     mat_z_mod,
     sup_norm,
     xgcd,
@@ -307,10 +306,12 @@ def test_eval_rightmost_letter_acts_first():
     assert m.rows == ((1, 1, 1), (0, 1, 1), (0, 0, 1))
 
 
-def test_apply_letter_z_premultiplies():
+def test_apply_letter_premultiplies():
     rows = [[1, 2], [3, 4]]
-    apply_letter_z(rows, eletter(1, 2, -1))
+    apply_letter(rows, eletter(1, 2, -1))
     assert rows == [[-2, -2], [3, 4]]
+    apply_letter(rows, eletter(1, 2, -1), 5)
+    assert rows == [[0, 4], [3, 4]]
 
 
 def test_eval_word_fp_matches_integer_reduction():
@@ -377,23 +378,6 @@ def test_determinant_fp_matches_integer_determinant():
             m = random_matz(rng, 3, bound=20)
             assert determinant_fp(mat_z_mod(m, p)) == determinant(m) % p
     assert determinant_fp(MatFp.from_rows([[1, 1], [1, 1]], 7)) == 0
-
-
-def test_mat_fp_inverse():
-    rng = random.Random(47)
-    for p in (3, 7, 101):
-        found = 0
-        while found < 10:
-            m = MatFp.from_rows(
-                [[rng.randrange(p) for _ in range(3)] for _ in range(3)], p
-            )
-            if determinant_fp(m) == 0:
-                continue
-            found += 1
-            assert m * mat_fp_inverse(m) == MatFp.identity(3, p)
-            assert mat_fp_inverse(m) * m == MatFp.identity(3, p)
-    with pytest.raises(DomainError):
-        mat_fp_inverse(MatFp.from_rows([[1, 1], [1, 1]], 7))
 
 
 # ---------------------------------------------------------------- arithmetic

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleynav.bfs import bfs_distance_map
+from cayleynav.compression import compress_power
 from cayleynav.core import (
     MatFp,
     determinant_fp,
+    eletter,
     eval_word_fp,
     inverse_mod,
+    least_abs_residue,
 )
 from cayleynav.errors import (
     BudgetExceededError,
@@ -68,6 +71,23 @@ def test_gadget_across_primes():
         for a in range(2, min(p, 8)):
             w = diagonal_clear_gadget(3, 2, a, 1, p)
             assert eval_word_fp(w, p) == diag_fp(p, (1, inverse_mod(a, p), a))
+
+
+def test_gadget_letters_follow_the_docstring_formula():
+    # e(j,i)^a e(i,j)^(-a^-1) e(j,i)^a (e(i,j) e(j,i)^-1 e(i,j)), j = i+1,
+    # each power spelled by compress_power with its least-absolute exponent
+    for p in (2, 3, 7, 101, 2**31 - 1, 2**61 - 1):
+        for a in {1, 2, 3, 5, p - 1, p // 2, p // 2 + 1, 10**12 + 39}:
+            if a % p == 0:
+                continue
+            for n in (3, 5):
+                for i in range(1, n):
+                    j = i + 1
+                    power_a = compress_power(n, j, i, least_abs_residue(a, p)).letters
+                    power_inv = compress_power(n, i, j, least_abs_residue(-inverse_mod(a, p), p)).letters
+                    swap = (eletter(i, j), eletter(j, i, -1), eletter(i, j))
+                    w = diagonal_clear_gadget(n, i, a, 1, p)
+                    assert w.letters == power_a + power_inv + power_a + swap
 
 
 def test_gadget_argument_validation():
