@@ -78,6 +78,29 @@ def zeckendorf_power_word(m: int) -> Word:
     return Word(3, tuple(_template_letters(zeckendorf(m).indices, 1, 2, 3)))
 
 
+def _power_letters(n: int, i: int, j: int, m: int, aux: int | None = None) -> list | tuple:
+    """Letters of compress_power(n, i, j, m, aux), without its argument checks.
+
+    For callers whose indices are valid by construction, such as the row
+    reduction engine, which validates its whole output word once.
+    """
+    if aux is None:
+        if n < 3:
+            raise UnsupportedDimensionError(
+                f"power compression needs dimension >= 3, got {n}"
+            )
+        aux = next(a for a in range(1, n + 1) if a != i and a != j)
+    if m == 0:
+        return ()
+    mag = abs(m)
+    template = _template_letters(zeckendorf(mag).indices, i, aux, j)
+    if mag <= len(template):
+        return (eletter(i, j, 1 if m > 0 else -1),) * mag
+    if m < 0:
+        return [l.inverse() for l in reversed(template)]
+    return template
+
+
 def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Word:
     """Word of length at most 4 + 6 log_tau(1 + |m| sqrt 5) equal to e(i, j)^m.
 
@@ -92,21 +115,11 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
         )
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise InvalidGeneratorError(f"e({i},{j}) invalid in dimension {n}")
-    if aux is None:
-        aux = next(a for a in range(1, n + 1) if a != i and a != j)
-    elif aux == i or aux == j or not (1 <= aux <= n):
+    if aux is not None and (aux == i or aux == j or not (1 <= aux <= n)):
         raise InvalidGeneratorError(
             f"auxiliary index {aux} must lie in 1..{n} outside {{{i},{j}}}"
         )
-    if m == 0:
-        return Word(n)
-    mag = abs(m)
-    template = _template_letters(zeckendorf(mag).indices, i, aux, j)
-    if mag <= len(template):
-        return Word(n, (eletter(i, j, 1 if m > 0 else -1),) * mag)
-    if m < 0:
-        template = [l.inverse() for l in reversed(template)]
-    return Word(n, tuple(template))
+    return Word(n, tuple(_power_letters(n, i, j, m, aux)))
 
 
 def compress_power_modp(n: int, i: int, j: int, m: int, p: int, aux: int | None = None) -> Word:

@@ -8,12 +8,20 @@ whose corner entry (-1)^(N-1) keeps the determinant equal to 1.
 Words multiply left to right, eval(w) = M(l_1) * ... * M(l_k).  Acting on a
 column vector the rightmost letter acts first, and e(p, q)^s sends entry
 a_p to a_p + s * a_q.
+
+eval_word_z and eval_word_fp run on packed rows: each row is one int,
+sum of x_c * 2^(w*c) with signed slots x_c, so e(i, j)^s is the single
+addition row_i += s * row_j and B^s a rotation of the row list.  The
+letters go in blocks of K; a block that starts from entries below 2^b
+uses slots of width w = b + K + 1, which no entry can outgrow (the
+argument is in _eval_rows), and between blocks the rows are unpacked and
+reduced mod p.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InvalidGeneratorError
+from .errors import DomainError, InternalStateError, InvalidGeneratorError
 
 ELEMENTARY = "elementary"
 AB = "ab"
@@ -277,10 +285,82 @@ def apply_letter(rows: list[list[int]], letter: GenLetter, p: int | None = None)
         rows[i] = [(x + s * y) % p for x, y in zip(rows[i], rows[j])]
 
 
+# Letters applied between two re-packings in _eval_rows.  Each re-packing
+# costs O(N^2) slot extractions, and each letter one add on N slots of
+# b + _BLOCK + 1 bits.  On the benchmark's fp and zint certificate words
+# 256 and 384 were equally fast, 64 and 1024 took 1.7x and 1.2x as long.
+_BLOCK = 256
+
+
+def _pack(row: list[int], width: int) -> int:
+    """The row as sum of row[c] * 2^(width * c); slots may be negative."""
+    v = 0
+    for x in reversed(row):
+        v = (v << width) + x
+    return v
+
+
+def _unpack(v: int, n: int, width: int) -> list[int]:
+    """The n signed slots of _pack, each in [-2^(width-1), 2^(width-1))."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    row = []
+    for _ in range(n):
+        x = ((v + half) & mask) - half
+        row.append(x)
+        v = (v - x) >> width
+    if v:
+        raise InternalStateError(f"packed row overflows {n} slots of {width} bits")
+    return row
+
+
 def _eval_rows(w: Word, p: int | None) -> tuple[tuple[int, ...], ...]:
-    rows = [[1 if r == c else 0 for c in range(w.n)] for r in range(w.n)]
-    for letter in reversed(w.letters):
-        apply_letter(rows, letter, p)
+    """Rows of eval(w), reduced mod p unless p is None, on packed rows.
+
+    Exactness: with every |entry| < 2^b when a block is packed, a letter
+    sends row_i to row_i +- row_j (or moves a row, maybe negated), so it at
+    most doubles the largest |entry|, and after the block's k <= _BLOCK
+    letters every |entry| < 2^(b+k).  Slots of width b + k + 1 therefore
+    hold every entry without carrying into the next slot.  Between blocks
+    the rows are unpacked, reduced mod p, and b is taken again from the
+    entries.  The bound is what keeps the slots apart; as a last guard, a
+    remainder left after the top slot (its overflow) raises
+    InternalStateError.
+    """
+    n = w.n
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    letters = w.letters
+    elementary = w.alphabet == ELEMENTARY
+    negate = n % 2 == 0  # B moves a row with the sign (-1)^(N-1)
+    end = len(letters)
+    while end:
+        start = max(0, end - _BLOCK)
+        width = max(abs(x) for row in rows for x in row).bit_length() + end - start + 1
+        pk = [0]  # pk[r] is row r, 1-based like the letters
+        pk.extend(_pack(row, width) for row in rows)
+        if elementary:
+            for l in reversed(letters[start:end]):
+                if l.e > 0:
+                    pk[l.i] += pk[l.j]
+                else:
+                    pk[l.i] -= pk[l.j]
+        else:
+            for l in reversed(letters[start:end]):
+                if l.sym == "A":
+                    if l.e > 0:
+                        pk[1] += pk[2]
+                    else:
+                        pk[1] -= pk[2]
+                elif l.e > 0:  # B sends row 1 to the bottom
+                    v = pk.pop(1)
+                    pk.append(-v if negate else v)
+                else:  # B^-1 sends row N to the top
+                    v = pk.pop()
+                    pk.insert(1, -v if negate else v)
+        rows = [_unpack(v, n, width) for v in pk[1:]]
+        if p is not None:
+            rows = [[x % p for x in row] for row in rows]
+        end = start
     return tuple(map(tuple, rows))
 
 
@@ -290,8 +370,13 @@ def eval_word_z(w: Word) -> MatZ:
 
 
 def eval_word_fp(w: Word, p: int) -> MatFp:
-    """Product of the word's letters reduced mod the prime p."""
-    if not is_prime(p):
+    """Product of the word's letters reduced mod the prime p.
+
+    MatFp decides whether p is prime; only p < 2, which is never prime and
+    on which reducing mod p would divide by zero, is refused before the
+    evaluation.
+    """
+    if p < 2:
         raise DomainError(f"modulus {p} is not prime")
     return MatFp(w.n, p, _eval_rows(w, p))
 

@@ -6,7 +6,9 @@ appends the inverse of its premultiplier to the output word at once, so
 the output read left to right evaluates to the input matrix as soon as
 the working matrix reaches the identity; no letter is inverted later.
 
-The row operation row_i += q * row_j emits compress_power(n, i, j, -q).
+The row operation row_i += q * row_j emits the letters of
+compress_power(n, i, j, -q), without building a Word per chunk; the
+caller's final Word validates the whole output once.
 Column clearing folds the column into a carrier row by Euclidean division
 (euclid.division_steps, the same moves and auxiliary indices as
 accelerated_reduce) and moves the carrier onto the diagonal with a signed
@@ -16,7 +18,7 @@ runs on integers and the exponents stay below p, and upper clearing takes
 its exponents in the least-absolute window (-p/2, p/2].
 """
 
-from .compression import compress_power
+from .compression import _power_letters
 from .core import eletter, inverse_mod, least_abs_residue
 from .errors import InternalStateError, UnsupportedDimensionError
 from .euclid import aux_index, division_steps
@@ -42,14 +44,14 @@ class RowReducer:
         return v in (1, -1) if self.p is None else v != 0
 
     def add(self, i: int, j: int, q: int, aux: int | None = None) -> None:
-        """row_i += q * row_j, emitting compress_power(n, i, j, -q, aux)."""
+        """row_i += q * row_j, emitting the letters of compress_power(n, i, j, -q, aux)."""
         rows, p = self.rows, self.p
         if p is None:
             rows[i - 1] = new = [x + q * y for x, y in zip(rows[i - 1], rows[j - 1])]
             self.peak = max(self.peak, max(map(abs, new)))
         else:
             rows[i - 1] = [(x + q * y) % p for x, y in zip(rows[i - 1], rows[j - 1])]
-        self.out.extend(compress_power(self.n, i, j, -q, aux).letters)
+        self.out.extend(_power_letters(self.n, i, j, -q, aux))
 
     def swap(self, i: int, j: int) -> None:
         """Row i takes row j and row j the negated row i.

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleynav import core
 from cayleynav.core import (
     AB,
     ELEMENTARY,
@@ -30,7 +32,7 @@ from cayleynav.core import (
     sup_norm,
     xgcd,
 )
-from cayleynav.errors import DomainError, InvalidGeneratorError
+from cayleynav.errors import DomainError, InternalStateError, InvalidGeneratorError
 from cayleynav.fibonacci import fib
 
 
@@ -322,6 +324,62 @@ def test_eval_word_fp_matches_integer_reduction():
             assert eval_word_fp(w, p) == mat_z_mod(eval_word_z(w), p)
         w = random_abword(rng, 4, 7)
         assert eval_word_fp(w, p) == mat_z_mod(eval_word_z(w), p)
+
+
+def test_packed_evaluation_matches_letter_matrix_product_across_blocks():
+    # Lengths around the re-packing block and several blocks beyond it; A/B
+    # at N = 2, 4 (B negates the moved row) and N = 3 (it does not).
+    k = core._BLOCK
+    rng = random.Random(2024)
+    cases = [(n, random_eword) for n in (2, 3, 5, 8, 12)]
+    cases += [(n, random_abword) for n in (2, 3, 4)]
+    for n, make in cases:
+        for length in (0, 1, k - 1, k, k + 1, 3 * k + 7):
+            w = make(rng, n, length)
+            direct = reduce(
+                lambda acc, l: acc * letter_matrix_z(l, n), w.letters, MatZ.identity(n)
+            )
+            assert eval_word_z(w) == direct
+            for p in (2, 3, 101, 2**61 - 1):
+                assert eval_word_fp(w, p) == mat_z_mod(direct, p)
+
+
+def test_packed_evaluation_stays_exact_through_entry_growth():
+    # (e(1,2) e(2,1))^t = [[F(2t+1), F(2t)], [F(2t), F(2t-1)]]: entries pass
+    # 600 bits and every block starts from wider entries than the last.
+    t = 500
+    w = Word(3, (eletter(1, 2), eletter(2, 1)) * t)
+    m = eval_word_z(w)
+    assert m.rows[0][0].bit_length() > 600
+    assert m == MatZ.from_rows(
+        [[fib(2 * t + 1), fib(2 * t), 0], [fib(2 * t), fib(2 * t - 1), 0], [0, 0, 1]]
+    )
+    assert eval_word_fp(w, 101) == mat_z_mod(m, 101)
+
+
+def test_packed_rows_round_trip_and_refuse_an_overflowed_slot():
+    row = [5, -8, 0, 7, -1]
+    assert core._unpack(core._pack(row, 4), 5, 4) == row
+    # 8 needs a fifth bit; the top slot's overflow is left over after decoding
+    with pytest.raises(InternalStateError):
+        core._unpack(core._pack([0, 8], 4), 2, 4)
+
+
+def test_eval_word_fp_decides_primality_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    w = random_eword(random.Random(5), 4, 40)
+    expected = mat_z_mod(eval_word_z(w), 101)
+    monkeypatch.setattr(core, "is_prime", counting)
+    assert eval_word_fp(w, 101) == expected
+    assert calls == [101]
+    for p in (-7, 0, 1, 4, 91, 2**61 + 1):
+        with pytest.raises(DomainError, match=f"^modulus {re.escape(str(p))} is not prime$"):
+            eval_word_fp(w, p)
 
 
 def test_word_inverse_evaluates_to_matrix_inverse():
