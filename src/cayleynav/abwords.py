@@ -10,7 +10,7 @@ short: every e(i, j) costs fewer than 10n letters.
 
 from functools import lru_cache
 
-from .core import ELEMENTARY, Word, abletter
+from .core import ELEMENTARY, Word, _word, abletter
 from .errors import DomainError, InvalidGeneratorError
 
 
@@ -88,10 +88,7 @@ def eij_ab_word(i: int, j: int, n: int) -> Word:
     s = i - 1
     if s == 0:
         return base
-    return Word(
-        n,
-        (abletter("B", -1),) * s + base.letters + (abletter("B"),) * s,
-    )
+    return _word(n, (abletter("B", -1),) * s + base.letters + (abletter("B"),) * s)
 
 
 # Letter codes for the rewriting: the inverse of code c is 3 - c.
@@ -126,4 +123,4 @@ def rewrite_word_ab(w: Word) -> Word:
             out.pop()
             k += 1
         out.extend(piece[k:])
-    return Word(n, tuple(map(_AB_LETTERS.__getitem__, out)))
+    return _word(n, tuple(map(_AB_LETTERS.__getitem__, out)))

@@ -16,6 +16,14 @@ letters go in blocks of K; a block that starts from entries below 2^b
 uses slots of width w = b + K + 1, which no entry can outgrow (the
 argument is in _eval_rows), and between blocks the rows are unpacked and
 reduced mod p.
+
+A Word is validated once, where its letters come from outside: Word(...)
+checks that every letter fits the dimension and that one alphabet is used,
+which covers parsing, user code and tests.  Words the library builds from
+letters valid by construction (engine outputs, compressed chunks, A/B
+rewrites, and the inverse, product or free reduction of checked words) go
+through _word, which skips that per-letter pass; a product still compares
+the two alphabets.
 """
 
 from dataclasses import dataclass
@@ -118,10 +126,12 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.n != other.n:
             raise DomainError(f"cannot concatenate words of dimension {self.n} and {other.n}")
-        return Word(self.n, self.letters + other.letters)
+        if self.letters and other.letters and self.letters[0].alphabet != other.letters[0].alphabet:
+            raise DomainError("word mixes elementary and AB letters")
+        return _word(self.n, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.n, tuple(l.inverse() for l in reversed(self.letters)))
+        return _word(self.n, tuple(l.inverse() for l in reversed(self.letters)))
 
     def free_reduce(self) -> "Word":
         out: list[GenLetter] = []
@@ -130,7 +140,7 @@ class Word:
                 out.pop()
             else:
                 out.append(l)
-        return Word(self.n, tuple(out))
+        return _word(self.n, tuple(out))
 
     def tokens(self) -> str:
         return " ".join(l.token() for l in self.letters)
@@ -143,6 +153,19 @@ class Word:
             head = " ".join(l.token() for l in self.letters[:8])
             return f"Word(n={self.n}, len={len(self.letters)}, '{head} ...')"
         return f"Word(n={self.n}, '{self.tokens()}')"
+
+
+def _word(n: int, letters: tuple[GenLetter, ...]) -> Word:
+    """A Word built without __post_init__, for letters valid by construction.
+
+    Only for letters of one alphabet that fit dimension n >= 2 because the
+    library made them so: engine output, compressed chunks, and inverses,
+    products and free reductions of words that were already checked.
+    """
+    w = object.__new__(Word)
+    object.__setattr__(w, "n", n)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 @dataclass(frozen=True)

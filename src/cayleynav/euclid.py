@@ -13,8 +13,8 @@ column.
 import math
 from dataclasses import dataclass
 
-from .compression import compress_power
-from .core import ELEMENTARY, Word, eletter
+from .compression import _power_letters
+from .core import ELEMENTARY, Word, _word, eletter
 from .errors import DomainError
 
 DEFAULT_K = 40
@@ -176,9 +176,8 @@ def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
     qsteps = tuple(QuotientStep(*st) for st in division_steps(vals, active))
     letters: list = []
     for st in reversed(qsteps):
-        chunk = compress_power(n, st.target, st.source, st.multiple, aux_index(n, k, st.target, st.source))
-        letters.extend(chunk.letters)
-    return AcceleratedResult(Word(n, tuple(letters)), initial, tuple(vals), qsteps)
+        letters += _power_letters(n, st.target, st.source, st.multiple, aux_index(n, k, st.target, st.source))
+    return AcceleratedResult(_word(n, tuple(letters)), initial, tuple(vals), qsteps)
 
 
 def step_bound(k: int, max_abs: int, K: float = DEFAULT_K) -> float:

@@ -6,6 +6,7 @@ k >= 2 with gaps of at least 2, which makes them unique.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -35,23 +36,38 @@ class ZeckendorfDecomposition:
         return tuple(fib(k) for k in self.indices)
 
 
+# F_0, F_1, ... as one immutable tuple shared by every zeckendorf call.  It
+# grows only by rebinding to a longer tuple, so a caller that has read it
+# holds a table whose every entry stays correct.
+_FIBS: tuple[int, ...] = (0, 1, 1, 2)
+
+
+def _fib_table(m: int) -> tuple[int, ...]:
+    """The shared table, extended until its last entry exceeds m."""
+    global _FIBS
+    fibs = _FIBS
+    if fibs[-1] <= m:
+        more = list(fibs)
+        while more[-1] <= m:
+            more.append(more[-1] + more[-2])
+        _FIBS = fibs = tuple(more)
+    return fibs
+
+
 def zeckendorf(m: int) -> ZeckendorfDecomposition:
     """Greedy decomposition of m >= 1; indices returned in increasing order."""
     if m < 1:
         raise DomainError(f"Zeckendorf decomposition needs m >= 1, got {m}")
-    fibs = [(2, 1), (3, 2)]  # (index, value) ascending from F_2
-    while fibs[-1][1] <= m:
-        k, v = fibs[-1]
-        fibs.append((k + 1, v + fibs[-2][1]))
+    fibs = _fib_table(m)
     indices = []
-    rest = m
-    for k, v in reversed(fibs):
-        if v <= rest:
-            indices.append(k)
-            rest -= v
-            if rest == 0:
-                break
-    # greedy never leaves a remainder: rest < F_{k-1} after taking F_k
+    rest, hi = m, len(fibs)
+    while rest:
+        # the largest F_k <= rest; k >= 2 because F_1 = F_2 = 1
+        k = bisect_right(fibs, rest, 0, hi) - 1
+        indices.append(k)
+        rest -= fibs[k]
+        # rest < F_{k-1} now, so the next index is at most k - 2
+        hi = k - 1
     return ZeckendorfDecomposition(m, tuple(reversed(indices)))
 
 

@@ -25,6 +25,7 @@ from .bfs import DEFAULT_BUDGET, bfs_distance_map, sl_group_order
 from .core import (
     MatFp,
     Word,
+    _word,
     determinant_fp,
     inverse_mod,
     is_prime,
@@ -69,7 +70,7 @@ def diagonal_clear_gadget(n: int, i: int, a: int, b: int, p: int) -> Word:
         raise DomainError("diagonal entries must be nonzero mod p")
     red = RowReducer([[1 if r == c else 0 for c in range(n)] for r in range(n)], p)
     _clear_pair(red, i, a)
-    return Word(n, tuple(red.out)).inverse()
+    return _word(n, tuple(red.out)).inverse()
 
 
 def word_for_modp(m: MatFp) -> Word:
@@ -90,7 +91,7 @@ def word_for_modp(m: MatFp) -> Word:
         if a != 1:
             _clear_pair(red, i, a)
     red.check_identity()
-    return Word(n, tuple(red.out))
+    return _word(n, tuple(red.out))
 
 
 def length_bound_modp(n: int, p: int, c: float = DEFAULT_C) -> float:

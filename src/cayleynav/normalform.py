@@ -22,7 +22,7 @@ rows.  The result reports the largest entry met after every row operation
 
 from dataclasses import dataclass
 
-from .core import MatZ, Word, determinant
+from .core import MatZ, Word, _word, determinant
 from .errors import (
     InternalStateError,
     NotInGroupError,
@@ -106,7 +106,7 @@ def _fix_signs(red: RowReducer) -> None:
 def _phase(m: MatZ, run) -> tuple[MatZ, Word]:
     red = RowReducer([list(r) for r in m.rows])
     run(red)
-    return MatZ(m.n, tuple(map(tuple, red.rows))), Word(m.n, tuple(red.out)).inverse()
+    return MatZ(m.n, tuple(map(tuple, red.rows))), _word(m.n, tuple(red.out)).inverse()
 
 
 def column_clear_phase(m: MatZ, col: int) -> tuple[MatZ, Word]:
@@ -164,7 +164,7 @@ def normal_form_result(m: MatZ) -> NormalFormResult:
     n2 = len(red.out)
     red.clear_upper()
     red.check_identity()
-    word = Word(n, tuple(red.out))
+    word = _word(n, tuple(red.out))
     return NormalFormResult(word, (n1, n2 - n1, len(word) - n2), tuple(norms), red.peak)
 
 

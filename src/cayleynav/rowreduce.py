@@ -7,8 +7,9 @@ the output read left to right evaluates to the input matrix as soon as
 the working matrix reaches the identity; no letter is inverted later.
 
 The row operation row_i += q * row_j emits the letters of
-compress_power(n, i, j, -q), without building a Word per chunk; the
-caller's final Word validates the whole output once.
+compress_power(n, i, j, -q), without building a Word per chunk.  The
+letters are valid by construction, so the caller wraps the output with
+core._word, and check_identity vouches for what they evaluate to.
 Column clearing folds the column into a carrier row by Euclidean division
 (euclid.division_steps, the same moves and auxiliary indices as
 accelerated_reduce) and moves the carrier onto the diagonal with a signed

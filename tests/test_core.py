@@ -32,8 +32,9 @@ from cayleynav.core import (
     sup_norm,
     xgcd,
 )
-from cayleynav.errors import DomainError, InternalStateError, InvalidGeneratorError
+from cayleynav.errors import DomainError, InternalStateError, InvalidGeneratorError, ParseError
 from cayleynav.fibonacci import fib
+from cayleynav.formats import parse_word_text
 
 
 def naive_mul(a, b):
@@ -210,6 +211,31 @@ def test_word_validation():
         Word(3, (eletter(1, 4),))
     # AB letters carry no indices, so any n >= 2 is fine
     Word(2, (abletter("A"), abletter("B")))
+
+
+def test_word_boundary_checks_still_raise():
+    # library-built words skip the letter check; every outside route keeps it
+    with pytest.raises(InvalidGeneratorError):
+        Word(3, (eletter(1, 4),))
+    with pytest.raises(DomainError, match="mixes elementary and AB"):
+        Word(4, (abletter("B"), eletter(2, 3)))
+    elementary = Word(3, (eletter(1, 2), eletter(2, 3, -1)))
+    ab = Word(3, (abletter("A"), abletter("B", -1)))
+    with pytest.raises(DomainError, match="mixes elementary and AB"):
+        elementary * ab
+    with pytest.raises(DomainError, match="mixes elementary and AB"):
+        ab * elementary
+    with pytest.raises(ParseError):
+        parse_word_text("e(1,4)", 3)
+    # an empty factor takes either alphabet
+    assert (Word(3) * ab).letters == ab.letters
+    assert (elementary * Word(3)).letters == elementary.letters
+
+
+def test_word_algebra_keeps_words_valid():
+    w = Word(4, (eletter(1, 2), eletter(3, 4, -1), eletter(3, 4), eletter(2, 1)))
+    for derived in (w.inverse(), w.free_reduce(), w * w.inverse(), (w * w.inverse()).free_reduce()):
+        assert Word(derived.n, derived.letters) == derived
 
 
 def test_word_basics():

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cayleynav import fibonacci
 from cayleynav.errors import DomainError
 from cayleynav.fibonacci import TAU, fib, zeckendorf, zeckendorf_length_bound
 
@@ -77,6 +79,43 @@ def test_zeckendorf_is_the_unique_sparse_representation():
     for total, s in sums.items():
         if total:
             assert zeckendorf(total).indices == s
+
+
+def brute_zeckendorf(m):
+    """Greedy over a Fibonacci list F_0..F_k, F_k > m, built for this call."""
+    fibs = [0, 1]
+    while fibs[-1] <= m:
+        fibs.append(fibs[-1] + fibs[-2])
+    indices, rest = [], m
+    for k in range(len(fibs) - 1, 1, -1):
+        if fibs[k] <= rest:
+            indices.append(k)
+            rest -= fibs[k]
+    assert rest == 0
+    return tuple(reversed(indices)), fibs
+
+
+def check_zeckendorf(m):
+    ks = zeckendorf(m).indices
+    expected, fibs = brute_zeckendorf(m)
+    assert ks == expected
+    assert ks[0] >= 2 and all(b - a >= 2 for a, b in zip(ks, ks[1:]))
+    assert sum(fibs[k] for k in ks) == m
+
+
+def test_zeckendorf_matches_brute_greedy_as_the_shared_table_grows():
+    rng = random.Random("zeckendorf:table")
+    # ascending small m grow the table a few terms at a time
+    for m in range(1, 5001):
+        check_zeckendorf(m)
+    # a huge m grows it at once; every smaller m then reuses the longer table
+    big = [rng.randrange(1, 10**400) for _ in range(20)] + [rng.randrange(1, 2**61) for _ in range(200)]
+    check_zeckendorf(10**400)
+    table = fibonacci._FIBS
+    assert table[-1] > 10**400
+    for m in sorted(big, reverse=True) + list(range(5000, 0, -1)):
+        check_zeckendorf(m)
+    assert fibonacci._FIBS is table
 
 
 def test_zeckendorf_length_bound_value():

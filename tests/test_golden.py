@@ -14,6 +14,7 @@ import pytest
 
 from cayleynav.abwords import rewrite_word_ab
 from cayleynav.bfs import bfs_diameter, bfs_distance_map
+from cayleynav.compression import compress_power, fib_power_word
 from cayleynav.core import AB, ELEMENTARY, MatFp, MatZ, Word, determinant_fp, eletter
 from cayleynav.modp import random_sl_fp, word_for_modp
 from cayleynav.normalform import (
@@ -119,11 +120,45 @@ GOLDEN_FP = {
 }
 
 
+def fp_corpus(n: int, p: int):
+    rng = random.Random(f"golden:{n}:{p}")
+    return [random_sl_fp(n, p, rng) for _ in range(12)]
+
+
 @pytest.mark.parametrize("n,p", sorted(GOLDEN_FP))
 def test_golden_word_for_modp_random(n, p):
-    rng = random.Random(f"golden:{n}:{p}")
-    words = [word_for_modp(random_sl_fp(n, p, rng)).tokens() for _ in range(12)]
+    words = [word_for_modp(m).tokens() for m in fp_corpus(n, p)]
     assert digest(words) == GOLDEN_FP[(n, p)]
+
+
+# ---------------------------------------------------------------- chunks
+# compress_power on both sides of the plain/template crossover (|m| <= 60),
+# at three random magnitudes, for both signs, with explicit and default aux.
+
+
+def compress_power_spread():
+    rng = random.Random("golden:compress")
+    cases = []
+    for n in (3, 5, 8):
+        i, j, aux = rng.sample(range(1, n + 1), 3)
+        exps = list(range(61))
+        for bound, count in ((2**61, 6), (10**40, 6), (10**400, 2)):
+            exps += [rng.randrange(bound) for _ in range(count)]
+        for a in (aux, None):
+            for m in exps:
+                cases += [(n, i, j, m, a), (n, i, j, -m, a)]
+    return cases
+
+
+GOLDEN_COMPRESS_POWER = "fdb6a65112655bc53bce1881cc21bb0f32f307d4f7c890ac6a0b367bfcfc6dda"
+GOLDEN_FIB_POWER = "2dc9648e538951108c9887b09779532e0fa93b566f395a94bd3e463e17608c1a"
+
+
+def test_golden_compress_power():
+    words = (compress_power(*case).tokens() for case in compress_power_spread())
+    assert digest(words) == GOLDEN_COMPRESS_POWER
+    words = (fib_power_word(t, parity).tokens() for t in range(41) for parity in ("even", "odd"))
+    assert digest(words) == GOLDEN_FIB_POWER
 
 
 # ---------------------------------------------------------------- oracles
@@ -177,17 +212,38 @@ GOLDEN_AB = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(GOLDEN_AB))
-def test_golden_rewrite_word_ab(n):
+def ab_corpus(n: int):
+    """Seeded elementary words of lengths 1, 7, 60 and 400."""
     rng = random.Random(f"golden:ab:{n}")
-    words = []
+    out = []
     for length in (1, 7, 60, 400):
         letters = []
         for _ in range(length):
             i, j = rng.sample(range(1, n + 1), 2)
             letters.append(eletter(i, j, rng.choice((1, -1))))
-        w = Word(n, tuple(letters))
+        out.append(Word(n, tuple(letters)))
+    return out
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_AB))
+def test_golden_rewrite_word_ab(n):
+    words = []
+    for w in ab_corpus(n):
         words.append(rewrite_word_ab(w).tokens())
         # a word times its inverse rewrites to the empty word
         assert len(rewrite_word_ab(w * w.inverse())) == 0
     assert digest(words) == GOLDEN_AB[n]
+
+
+# ---------------------------------------------------------------- boundary
+# Engine and rewrite outputs are built without Word's letter check.  The
+# full check on their letters must accept every one and rebuild an equal word.
+
+
+def test_library_built_words_pass_the_full_check():
+    words = [normal_form_result(m).word for n in sorted(GOLDEN_Z) for m in unimodular_corpus(n)]
+    words += [word_for_modp(m) for n, p in sorted(GOLDEN_FP) for m in fp_corpus(n, p)]
+    words += [rewrite_word_ab(w) for n in sorted(GOLDEN_AB) for w in ab_corpus(n)]
+    for w in words:
+        assert type(w.letters) is tuple
+        assert Word(w.n, w.letters) == w
