@@ -6,56 +6,16 @@ tuples reduce by gcd engines built from those words, and whole matrices
 factor into words via a three phase normal form.  Everything can be
 rewritten over the two generators A = e(1,2) and the cyclic shift B, and
 exhaustive search oracles supply exact distances on small groups.
+
+The package namespace holds the pipeline: letters, words and matrices,
+the word builders, their evaluators, A/B rewriting, the diameter oracle
+and the error classes.  Everything else is imported from its submodule.
 """
 
-from .abwords import (
-    band_word,
-    column_ones_word,
-    e1k_ab_word,
-    eij_ab_word,
-    rewrite_word_ab,
-)
-from .bfs import (
-    DEFAULT_BUDGET,
-    SL2_RADIUS_LIMIT,
-    DiameterReport,
-    bfs_ball_sl2z,
-    bfs_diameter,
-    bfs_distance_fp,
-    bfs_distance_map,
-    generator_letters,
-    min_pair_reduction_steps,
-    sl_group_order,
-)
-from .compression import (
-    compress_power,
-    compress_power_modp,
-    fib_power_word,
-    zeckendorf_power_word,
-)
-from .core import (
-    AB,
-    ELEMENTARY,
-    GenLetter,
-    MatFp,
-    MatZ,
-    Word,
-    ab_matrix,
-    abletter,
-    determinant,
-    determinant_fp,
-    eletter,
-    elementary_matrix,
-    eval_word_fp,
-    eval_word_z,
-    inverse_mod,
-    is_prime,
-    least_abs_residue,
-    letter_matrix_z,
-    mat_z_mod,
-    sup_norm,
-    xgcd,
-)
+from .abwords import eij_ab_word, rewrite_word_ab
+from .bfs import bfs_diameter
+from .compression import compress_power
+from .core import AB, ELEMENTARY, MatFp, MatZ, Word, eletter, eval_word_fp, eval_word_z
 from .errors import (
     BudgetExceededError,
     CayleyNavError,
@@ -66,133 +26,33 @@ from .errors import (
     ParseError,
     UnsupportedDimensionError,
 )
-from .euclid import (
-    DEFAULT_K,
-    AcceleratedResult,
-    EuclidStep,
-    EuclidTrace,
-    QuotientStep,
-    accelerated_reduce,
-    replay_word_on_tuple,
-    step_bound,
-    subtractive_gcd,
-)
-from .fibonacci import (
-    ZeckendorfDecomposition,
-    fib,
-    zeckendorf,
-    zeckendorf_length_bound,
-)
-from .formats import (
-    format_matrix_text,
-    format_word_text,
-    matrix_from_json,
-    matrix_to_json,
-    parse_matrix_text,
-    parse_word_text,
-    word_from_json,
-    word_to_json,
-)
-from .modp import (
-    DEFAULT_C,
-    FpReport,
-    diagonal_clear_gadget,
-    diameter_upper_bound_report,
-    length_bound_modp,
-    random_sl_fp,
-    word_for_modp,
-)
-from .normalform import (
-    NormalFormResult,
-    column_clear_phase,
-    normal_form,
-    normal_form_result,
-    sign_fix_phase,
-    upper_clear_phase,
-)
+from .modp import word_for_modp
+from .normalform import normal_form, normal_form_result
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AB",
-    "AcceleratedResult",
     "BudgetExceededError",
     "CayleyNavError",
-    "DEFAULT_BUDGET",
-    "DEFAULT_C",
-    "DEFAULT_K",
-    "DiameterReport",
     "DomainError",
     "ELEMENTARY",
-    "EuclidStep",
-    "EuclidTrace",
-    "FpReport",
-    "GenLetter",
     "InternalStateError",
     "InvalidGeneratorError",
     "MatFp",
     "MatZ",
-    "NormalFormResult",
     "NotInGroupError",
     "ParseError",
-    "QuotientStep",
-    "SL2_RADIUS_LIMIT",
     "UnsupportedDimensionError",
     "Word",
-    "ZeckendorfDecomposition",
-    "ab_matrix",
-    "abletter",
-    "accelerated_reduce",
-    "band_word",
-    "bfs_ball_sl2z",
     "bfs_diameter",
-    "bfs_distance_fp",
-    "bfs_distance_map",
-    "column_clear_phase",
-    "column_ones_word",
     "compress_power",
-    "compress_power_modp",
-    "determinant",
-    "determinant_fp",
-    "diagonal_clear_gadget",
-    "diameter_upper_bound_report",
-    "e1k_ab_word",
     "eij_ab_word",
-    "elementary_matrix",
     "eletter",
     "eval_word_fp",
     "eval_word_z",
-    "fib",
-    "fib_power_word",
-    "format_matrix_text",
-    "format_word_text",
-    "generator_letters",
-    "inverse_mod",
-    "is_prime",
-    "least_abs_residue",
-    "length_bound_modp",
-    "letter_matrix_z",
-    "mat_z_mod",
-    "matrix_from_json",
-    "matrix_to_json",
-    "min_pair_reduction_steps",
     "normal_form",
     "normal_form_result",
-    "parse_matrix_text",
-    "parse_word_text",
-    "random_sl_fp",
-    "replay_word_on_tuple",
     "rewrite_word_ab",
-    "sign_fix_phase",
-    "sl_group_order",
-    "step_bound",
-    "subtractive_gcd",
-    "sup_norm",
-    "upper_clear_phase",
     "word_for_modp",
-    "word_from_json",
-    "word_to_json",
-    "zeckendorf",
-    "zeckendorf_length_bound",
-    "zeckendorf_power_word",
 ]

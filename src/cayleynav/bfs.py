@@ -15,7 +15,6 @@ from .core import (
     ELEMENTARY,
     MatFp,
     abletter,
-    apply_letter,
     determinant_fp,
     eletter,
     is_prime,
@@ -243,19 +242,17 @@ def bfs_ball_sl2z(radius: int, budget: int = DEFAULT_BUDGET) -> dict:
         raise DomainError(
             f"radius {radius} exceeds the exhaustive limit of {SL2_RADIUS_LIMIT}"
         )
-    letters = generator_letters(2, ELEMENTARY)
     start = (1, 0, 0, 1)
     dist = {start: 0}
     frontier = [start]
     for d in range(1, radius + 1):
         bound = fib(d + 1)
         nxt = []
-        for key in frontier:
-            rows = [list(key[:2]), list(key[2:])]
-            for letter in letters:
-                out = rows[:]
-                apply_letter(out, letter)
-                k2 = (*out[0], *out[1])
+        for a, b, c, e in frontier:
+            # rows (a, b) and (c, e): e(1,2)^+-1 adds +-row 2 to row 1 and
+            # e(2,1)^+-1 +-row 1 to row 2, in the order of generator_letters(2)
+            for k2 in ((a + c, b + e, c, e), (a - c, b - e, c, e),
+                       (a, b, c + a, e + b), (a, b, c - a, e - b)):
                 if k2 not in dist:
                     if max(abs(x) for x in k2) > bound:
                         raise InternalStateError(

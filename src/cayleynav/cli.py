@@ -36,7 +36,7 @@ from .formats import (
     parse_word_text,
     word_to_json,
 )
-from .modp import DEFAULT_C, diameter_upper_bound_report, word_for_modp
+from .modp import diameter_upper_bound_report, word_for_modp
 from .normalform import normal_form_result
 
 
@@ -85,7 +85,7 @@ def cmd_gcd(args) -> int:
     res = accelerated_reduce(padded, args.active)
     k_eff = args.active if args.active is not None else len(padded)
     max_abs = max(abs(x) for x in padded)
-    bound = step_bound(k_eff, max_abs, args.euclid_k)
+    bound = step_bound(k_eff, max_abs)
     payload = {
         "entries": list(entries),
         "subtractive": {"steps": trace.step_count, "final": list(trace.final)},
@@ -94,7 +94,7 @@ def cmd_gcd(args) -> int:
             "final": list(res.final),
             "quotient_steps": [[st.target, st.source, st.multiple] for st in res.quotient_steps],
             "bound": bound,
-            "euclid_k": args.euclid_k,
+            "euclid_k": DEFAULT_K,
         },
     }
     lines = [
@@ -184,7 +184,6 @@ def cmd_fp_report(args) -> int:
         exhaustive=args.exhaustive,
         samples=args.samples,
         seed=args.seed,
-        c_const=args.modp_c,
         budget=args.budget,
     )
     if args.json:
@@ -300,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("gcd", help="reduce an integer tuple by row operations")
     s.add_argument("entries", type=int, nargs="+")
     s.add_argument("--active", type=int, default=None, help="reduce only the trailing k entries")
-    s.add_argument("--euclid-k", type=float, default=DEFAULT_K, help="constant in the letter budget (natural log)")
     s.add_argument("--trace", action="store_true")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_gcd)
@@ -322,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=int, default=200)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--exhaustive", action="store_true")
-    s.add_argument("--modp-c", type=float, default=DEFAULT_C, help="constant in the n^2 ln p budget")
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_fp_report)

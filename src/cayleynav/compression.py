@@ -101,17 +101,6 @@ def fib_power_word(n_blocks: int, parity: str) -> Word:
     return _word(3, tuple(_template((k,), 1, 2, 3)))
 
 
-def zeckendorf_power_word(m: int) -> Word:
-    """The full template word for e(1,3)^m in dimension 3, m >= 1.
-
-    No short-circuit is applied; length is 4 + 8n + 2r where n is half the
-    top Zeckendorf index of m (rounded down) and r the number of summands.
-    """
-    if m < 1:
-        raise DomainError(f"template needs m >= 1, got {m}")
-    return _word(3, tuple(_template(zeckendorf(m).indices, 1, 2, 3)))
-
-
 def _power_letters(n: int, i: int, j: int, m: int, aux: int | None = None) -> list | tuple:
     """Letters of compress_power(n, i, j, m, aux), without its argument checks.
 

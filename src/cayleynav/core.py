@@ -227,6 +227,8 @@ class MatFp:
 
     @classmethod
     def from_rows(cls, rows, p: int) -> "MatFp":
+        if p < 2:
+            raise DomainError(f"modulus {p} is not prime")
         rows = tuple(tuple(int(x) % p for x in r) for r in rows)
         return cls(len(rows), p, rows)
 
@@ -287,25 +289,6 @@ def letter_matrix_z(letter: GenLetter, n: int) -> MatZ:
     if letter.alphabet == ELEMENTARY:
         return elementary_matrix(n, letter.i, letter.j, letter.e)
     return ab_matrix(n, letter.sym, letter.e)
-
-
-def apply_letter(rows: list[list[int]], letter: GenLetter, p: int | None = None) -> None:
-    """Premultiply the row-list matrix by one letter in place, mod p unless p is None."""
-    if letter.alphabet == ELEMENTARY:
-        i, j = letter.i - 1, letter.j - 1
-    elif letter.sym == "A":
-        i, j = 0, 1
-    else:  # B sends row 1 to the bottom, B^-1 row N to the top, times (-1)^(N-1)
-        moved = rows.pop(0 if letter.e == 1 else -1)
-        if len(rows) % 2:
-            moved = [-x for x in moved] if p is None else [-x % p for x in moved]
-        rows.insert(len(rows) if letter.e == 1 else 0, moved)
-        return
-    s = letter.e
-    if p is None:
-        rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
-    else:
-        rows[i] = [(x + s * y) % p for x, y in zip(rows[i], rows[j])]
 
 
 # Letters applied between two re-packings in _eval_rows.  Each re-packing

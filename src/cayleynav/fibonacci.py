@@ -16,13 +16,14 @@ TAU = (1.0 + SQRT5) / 2.0
 
 
 def fib(n: int) -> int:
-    """The n-th Fibonacci number, exact."""
+    """The n-th Fibonacci number, exact, read from the shared table.
+
+    The table then holds F_0 .. F_n, about 0.35 n^2 bits: meant for the
+    small indices of the search oracles and of Zeckendorf decompositions.
+    """
     if n < 0:
         raise DomainError(f"Fibonacci index must be non-negative, got {n}")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _fib_table(0, n)[n]
 
 
 @dataclass(frozen=True)
@@ -36,19 +37,19 @@ class ZeckendorfDecomposition:
         return tuple(fib(k) for k in self.indices)
 
 
-# F_0, F_1, ... as one immutable tuple shared by every zeckendorf call.  It
-# grows only by rebinding to a longer tuple, so a caller that has read it
-# holds a table whose every entry stays correct.
+# F_0, F_1, ... as one immutable tuple shared by every fib and zeckendorf
+# call.  It grows only by rebinding to a longer tuple, so a caller that has
+# read it holds a table whose every entry stays correct.
 _FIBS: tuple[int, ...] = (0, 1, 1, 2)
 
 
-def _fib_table(m: int) -> tuple[int, ...]:
-    """The shared table, extended until its last entry exceeds m."""
+def _fib_table(m: int, n: int = 0) -> tuple[int, ...]:
+    """The shared table, extended until its last entry exceeds m and it holds F_n."""
     global _FIBS
     fibs = _FIBS
-    if fibs[-1] <= m:
+    if fibs[-1] <= m or len(fibs) <= n:
         more = list(fibs)
-        while more[-1] <= m:
+        while more[-1] <= m or len(more) <= n:
             more.append(more[-1] + more[-2])
         _FIBS = fibs = tuple(more)
     return fibs

@@ -41,7 +41,11 @@ def format_word_text(w: Word) -> str:
 
 
 def parse_matrix_text(text: str) -> MatZ | MatFp:
-    """Parse the matrix text format; the header decides Z versus F_p."""
+    """Parse the matrix text format; the header decides Z versus F_p.
+
+    Malformed text raises ParseError; a modulus that is not prime is a
+    domain error and raises DomainError, as it does everywhere else.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty matrix input")
@@ -64,12 +68,9 @@ def parse_matrix_text(text: str) -> MatZ | MatFp:
         if len(row) != n:
             raise ParseError(f"expected {n} entries per row, got {len(row)}")
         rows.append(row)
-    try:
-        if p is None:
-            return MatZ.from_rows(rows)
-        return MatFp.from_rows(rows, p)
-    except Exception as exc:
-        raise ParseError(f"invalid matrix: {exc}") from exc
+    if p is None:
+        return MatZ.from_rows(rows)
+    return MatFp.from_rows(rows, p)
 
 
 def format_matrix_text(m: MatZ | MatFp) -> str:

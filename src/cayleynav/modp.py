@@ -28,7 +28,6 @@ from .core import (
     _word,
     determinant_fp,
     inverse_mod,
-    is_prime,
     least_abs_residue,
 )
 from .errors import DomainError, InternalStateError, NotInGroupError, UnsupportedDimensionError
@@ -50,27 +49,6 @@ def _clear_pair(red: RowReducer, i: int, a: int) -> None:
     red.add(j, i, q)
     red.add(i, j, least_abs_residue(-inverse_mod(a, p), p))
     red.add(j, i, q)
-
-
-def diagonal_clear_gadget(n: int, i: int, a: int, b: int, p: int) -> Word:
-    """Premultiplier word sending diag(..., a, b, ...) to diag(..., 1, a*b, ...).
-
-    The pair sits at rows (i, i+1).  The word evaluates mod p to the block
-    diag(a^-1, a) there and the identity everywhere else, built as
-    e(j,i)^a e(i,j)^(-a^-1) e(j,i)^a (e(i,j) e(j,i)^-1 e(i,j)), j = i+1.
-    """
-    if n < 3:
-        raise UnsupportedDimensionError(f"gadget needs dimension >= 3, got {n}")
-    if not (1 <= i <= n - 1):
-        raise DomainError(f"row pair must start in 1..{n - 1}, got {i}")
-    if not is_prime(p):
-        raise DomainError(f"modulus {p} is not prime")
-    a %= p
-    if a == 0 or b % p == 0:
-        raise DomainError("diagonal entries must be nonzero mod p")
-    red = RowReducer([[1 if r == c else 0 for c in range(n)] for r in range(n)], p)
-    _clear_pair(red, i, a)
-    return _word(n, tuple(red.out)).inverse()
 
 
 def word_for_modp(m: MatFp) -> Word:
@@ -142,7 +120,6 @@ def diameter_upper_bound_report(
     exhaustive: bool = False,
     samples: int = 200,
     seed: int = 0,
-    c_const: float = DEFAULT_C,
     budget: int = DEFAULT_BUDGET,
 ) -> FpReport:
     """Measure word lengths over SL_n(F_p).
@@ -175,7 +152,7 @@ def diameter_upper_bound_report(
         max_length=max(lengths),
         mean_length=sum(lengths) / len(lengths),
         normalized_max=max(lengths) / norm,
-        bound=c_const * norm,
-        c_const=c_const,
+        bound=DEFAULT_C * norm,
+        c_const=DEFAULT_C,
         seed=used_seed,
     )

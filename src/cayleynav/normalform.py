@@ -103,29 +103,6 @@ def _fix_signs(red: RowReducer) -> None:
         red.swap(i, j)
 
 
-def _phase(m: MatZ, run) -> tuple[MatZ, Word]:
-    red = RowReducer([list(r) for r in m.rows])
-    run(red)
-    return MatZ(m.n, tuple(map(tuple, red.rows))), _word(m.n, tuple(red.out)).inverse()
-
-
-def column_clear_phase(m: MatZ, col: int) -> tuple[MatZ, Word]:
-    """One column of phase one.  Returns (new matrix, premultiplier word)."""
-    if not (1 <= col <= m.n - 1):
-        raise InternalStateError(f"phase one handles columns 1..{m.n - 1}, got {col}")
-    return _phase(m, lambda red: red.clear_column(col))
-
-
-def sign_fix_phase(m: MatZ) -> tuple[MatZ, Word]:
-    """Phase two on an upper triangular matrix with unit pivots."""
-    return _phase(m, _fix_signs)
-
-
-def upper_clear_phase(m: MatZ) -> tuple[MatZ, Word]:
-    """Phase three on a unitriangular matrix; the result is the identity."""
-    return _phase(m, RowReducer.clear_upper)
-
-
 @dataclass(frozen=True)
 class NormalFormResult:
     """Word for a unimodular matrix plus per-phase diagnostics.

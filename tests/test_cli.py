@@ -5,7 +5,7 @@ import pytest
 
 from cayleynav.cli import main
 from cayleynav.core import MatFp, MatZ, Word, abletter, eletter, eval_word_fp, eval_word_z
-from cayleynav.errors import ParseError
+from cayleynav.errors import DomainError, ParseError
 from cayleynav.formats import (
     format_matrix_text,
     format_word_text,
@@ -74,10 +74,13 @@ def test_matrix_text_parse_errors():
         "2\n1 0",
         "2\n1 0\n0 x",
         "2\n1 0 0\n0 1 0",
-        "2 6\n1 0\n0 1",
     ):
         with pytest.raises(ParseError):
             parse_matrix_text(text)
+    # well-formed text with a modulus that is not prime is a domain error
+    for header in ("2 6", "2 1", "2 0", "2 -7"):
+        with pytest.raises(DomainError):
+            parse_matrix_text(header + "\n1 0\n0 1")
 
 
 def test_matrix_json_round_trip():
@@ -403,20 +406,35 @@ def test_cli_unreadable_file_is_a_parse_error(tmp_path, capsys):
 
 def test_cli_reduce_modp_refuses_a_strong_pseudoprime(monkeypatch, capsys):
     # a modulus the matrix header names must be prime, like "2 6" in
-    # test_matrix_text_parse_errors; 318665857834031151167461 is
+    # test_matrix_text_parse_errors, and a bad one exits 3 like any other
+    # domain error; 318665857834031151167461 is
     # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
     body = "\n1 1 0\n0 1 0\n0 0 1\n"
     monkeypatch.setattr("sys.stdin", io.StringIO("3 318665857834031151167461" + body))
     rc, out, err = run(capsys, "reduce-modp")
-    assert rc == 2 and out == ""
+    assert rc == 3 and out == ""
     assert "is not prime" in err
     # beyond the exact range of the primality test the modulus is refused
     monkeypatch.setattr("sys.stdin", io.StringIO("3 3317044064679887385961981" + body))
     rc, out, err = run(capsys, "reduce-modp")
-    assert rc == 2 and out == ""
+    assert rc == 3 and out == ""
     assert "not decided" in err
     rc, out, err = run(capsys, "compress", "3", "1", "2", "5", "--modp", "3317044064679887385961981")
     assert rc == 3 and out == "" and "not decided" in err
+
+
+def test_cli_composite_modulus_exits_3_everywhere(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("3 6\n1 1 0\n0 1 0\n0 0 1\n")
+    for argv in (
+        ("reduce-modp", str(path)),
+        ("verify", "--matrix", str(path), "e(1,2)"),
+        ("compress", "3", "1", "2", "5", "--modp", "6"),
+        ("fp-report", "3", "6"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (3, ""), argv
+        assert "modulus 6 is not prime" in err
 
 
 def test_cli_internal_error_is_one_line_exit_5(monkeypatch, capsys):

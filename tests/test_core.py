@@ -17,7 +17,6 @@ from cayleynav.core import (
     Word,
     ab_matrix,
     abletter,
-    apply_letter,
     determinant,
     determinant_fp,
     eletter,
@@ -332,14 +331,6 @@ def test_eval_rightmost_letter_acts_first():
     m = eval_word_z(w)
     assert m == elementary_matrix(3, 1, 2) * elementary_matrix(3, 2, 3)
     assert m.rows == ((1, 1, 1), (0, 1, 1), (0, 0, 1))
-
-
-def test_apply_letter_premultiplies():
-    rows = [[1, 2], [3, 4]]
-    apply_letter(rows, eletter(1, 2, -1))
-    assert rows == [[-2, -2], [3, 4]]
-    apply_letter(rows, eletter(1, 2, -1), 5)
-    assert rows == [[0, 4], [3, 4]]
 
 
 def test_eval_word_fp_matches_integer_reduction():

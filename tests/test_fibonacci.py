@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -46,6 +47,17 @@ def test_zeckendorf_known_cases():
     assert zeckendorf(100).indices == (4, 6, 11)
     assert zeckendorf(100).summands() == (3, 8, 89)
     assert zeckendorf(100).m == 100
+
+
+def test_summands_of_a_4000_digit_number_come_from_the_shared_table():
+    # each summand is a lookup in the shared table; a fresh O(k) recurrence
+    # per summand took over ten seconds at this size
+    m = 10**4000 - 1
+    t0 = time.perf_counter()
+    z = zeckendorf(m)
+    assert sum(z.summands()) == m
+    assert time.perf_counter() - t0 < 5
+    assert z.summands()[-1] is fibonacci._FIBS[z.indices[-1]]
 
 
 def test_zeckendorf_rejects_nonpositive():

@@ -17,12 +17,8 @@ from cayleynav.bfs import bfs_diameter, bfs_distance_map
 from cayleynav.compression import compress_power, fib_power_word
 from cayleynav.core import AB, ELEMENTARY, MatFp, MatZ, Word, determinant_fp, eletter
 from cayleynav.modp import random_sl_fp, word_for_modp
-from cayleynav.normalform import (
-    column_clear_phase,
-    normal_form_result,
-    sign_fix_phase,
-    upper_clear_phase,
-)
+from cayleynav.normalform import _fix_signs, normal_form_result
+from cayleynav.rowreduce import RowReducer
 
 
 def digest(lines) -> str:
@@ -87,15 +83,17 @@ def test_golden_normal_form_words(n):
         r = normal_form_result(m)
         words.append(r.word.tokens())
         diags.append(f"{r.phase_lengths} {r.column_norms} {r.peak_norm}")
-    # the phase wrappers on their own: column clearing without LLL first
-    m = unimodular_corpus(n)[1]
-    for col in range(1, n):
-        m, w = column_clear_phase(m, col)
-        words.append(w.tokens())
-    for phase in (sign_fix_phase, upper_clear_phase):
-        m, w = phase(m)
-        words.append(w.tokens())
-    assert m == MatZ.identity(n)
+    # the phases on their own, column clearing without LLL first: one
+    # engine, its output sliced per phase and each slice inverted into
+    # that phase's premultiplier word
+    red = RowReducer([list(r) for r in unimodular_corpus(n)[1].rows])
+    phases = [(RowReducer.clear_column, col) for col in range(1, n)]
+    phases += [(_fix_signs,), (RowReducer.clear_upper,)]
+    for run, *args in phases:
+        start = len(red.out)
+        run(red, *args)
+        words.append(Word(n, tuple(red.out[start:])).inverse().tokens())
+    red.check_identity()
     assert (digest(words), digest(diags)) == GOLDEN_Z[n]
 
 

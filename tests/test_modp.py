@@ -9,6 +9,7 @@ from cayleynav.bfs import bfs_distance_map
 from cayleynav.compression import compress_power
 from cayleynav.core import (
     MatFp,
+    Word,
     determinant_fp,
     eletter,
     eval_word_fp,
@@ -24,12 +25,13 @@ from cayleynav.errors import (
 from cayleynav.modp import (
     DEFAULT_C,
     FpReport,
-    diagonal_clear_gadget,
+    _clear_pair,
     diameter_upper_bound_report,
     length_bound_modp,
     random_sl_fp,
     word_for_modp,
 )
+from cayleynav.rowreduce import RowReducer
 
 
 def diag_fp(p, entries):
@@ -45,8 +47,15 @@ def all_sl3_f2():
             yield m
 
 
+def gadget(n, i, a, p):
+    """Premultiplier word of the gadget at rows (i, i+1), run on the engine from the identity."""
+    red = RowReducer([[int(r == c) for c in range(n)] for r in range(n)], p)
+    _clear_pair(red, i, a % p)
+    return Word(n, tuple(red.out)).inverse()
+
+
 def test_gadget_trades_adjacent_diagonal_entries():
-    w = diagonal_clear_gadget(3, 1, 2, 3, 7)
+    w = gadget(3, 1, 2, 7)
     assert eval_word_fp(w, 7) == diag_fp(7, (4, 2, 1))
     # premultiplying diag(2, 3, 1) moves its first pivot into the second
     m = diag_fp(7, (2, 3, 1))
@@ -54,13 +63,13 @@ def test_gadget_trades_adjacent_diagonal_entries():
 
 
 def test_gadget_unit_pivot_collapses_to_identity():
-    w = diagonal_clear_gadget(3, 1, 1, 1, 5)
+    w = gadget(3, 1, 1, 5)
     assert len(w) == 6
     assert eval_word_fp(w, 5) == MatFp.identity(3, 5)
 
 
 def test_gadget_only_touches_the_chosen_block():
-    w = diagonal_clear_gadget(4, 2, 3, 1, 7)
+    w = gadget(4, 2, 3, 7)
     assert eval_word_fp(w, 7) == diag_fp(7, (1, 5, 3, 1))
     used = {x for l in w.letters for x in (l.i, l.j)}
     assert used == {2, 3}
@@ -69,11 +78,12 @@ def test_gadget_only_touches_the_chosen_block():
 def test_gadget_across_primes():
     for p in (3, 5, 11, 101):
         for a in range(2, min(p, 8)):
-            w = diagonal_clear_gadget(3, 2, a, 1, p)
+            w = gadget(3, 2, a, p)
             assert eval_word_fp(w, p) == diag_fp(p, (1, inverse_mod(a, p), a))
 
 
 def test_gadget_letters_follow_the_docstring_formula():
+    # _clear_pair's moves as one premultiplier, the first move rightmost:
     # e(j,i)^a e(i,j)^(-a^-1) e(j,i)^a (e(i,j) e(j,i)^-1 e(i,j)), j = i+1,
     # each power spelled by compress_power with its least-absolute exponent
     for p in (2, 3, 7, 101, 2**31 - 1, 2**61 - 1):
@@ -86,21 +96,8 @@ def test_gadget_letters_follow_the_docstring_formula():
                     power_a = compress_power(n, j, i, least_abs_residue(a, p)).letters
                     power_inv = compress_power(n, i, j, least_abs_residue(-inverse_mod(a, p), p)).letters
                     swap = (eletter(i, j), eletter(j, i, -1), eletter(i, j))
-                    w = diagonal_clear_gadget(n, i, a, 1, p)
+                    w = gadget(n, i, a, p)
                     assert w.letters == power_a + power_inv + power_a + swap
-
-
-def test_gadget_argument_validation():
-    with pytest.raises(DomainError):
-        diagonal_clear_gadget(3, 1, 0, 1, 5)
-    with pytest.raises(DomainError):
-        diagonal_clear_gadget(3, 1, 5, 1, 5)
-    with pytest.raises(DomainError):
-        diagonal_clear_gadget(3, 3, 2, 1, 5)
-    with pytest.raises(DomainError):
-        diagonal_clear_gadget(3, 1, 2, 1, 6)
-    with pytest.raises(UnsupportedDimensionError):
-        diagonal_clear_gadget(2, 1, 2, 1, 5)
 
 
 def test_word_for_modp_identity_and_generator():

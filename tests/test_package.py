@@ -1,0 +1,47 @@
+import cayleynav
+from cayleynav import compression, core, modp, normalform
+
+PUBLIC = {
+    # the pipeline: letters, words, matrices, builders, evaluators, oracles
+    "AB",
+    "ELEMENTARY",
+    "MatFp",
+    "MatZ",
+    "Word",
+    "bfs_diameter",
+    "compress_power",
+    "eij_ab_word",
+    "eletter",
+    "eval_word_fp",
+    "eval_word_z",
+    "normal_form",
+    "normal_form_result",
+    "rewrite_word_ab",
+    "word_for_modp",
+    # the error classes
+    "BudgetExceededError",
+    "CayleyNavError",
+    "DomainError",
+    "InternalStateError",
+    "InvalidGeneratorError",
+    "NotInGroupError",
+    "ParseError",
+    "UnsupportedDimensionError",
+}
+
+
+def test_public_surface():
+    assert sorted(cayleynav.__all__) == sorted(PUBLIC)
+    namespace = {}
+    exec("from cayleynav import *", namespace)
+    assert PUBLIC <= namespace.keys()
+    # wrappers that repeated an engine path are gone from their modules
+    for module, name in (
+        (normalform, "column_clear_phase"),
+        (normalform, "sign_fix_phase"),
+        (normalform, "upper_clear_phase"),
+        (modp, "diagonal_clear_gadget"),
+        (compression, "zeckendorf_power_word"),
+        (core, "apply_letter"),
+    ):
+        assert not hasattr(module, name), name
