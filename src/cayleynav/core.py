@@ -425,25 +425,12 @@ def mat_z_mod(m: MatZ, p: int) -> MatFp:
     return MatFp(m.n, p, tuple(tuple(x % p for x in row) for row in m.rows))
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def inverse_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p, via extended Euclid."""
-    g, x, _ = xgcd(a % p, p)
-    if g != 1:
-        raise DomainError(f"{a} is not invertible mod {p}")
-    return x % p
+    """Multiplicative inverse of a mod p, as a residue in [0, p)."""
+    try:
+        return pow(a, -1, p)
+    except ValueError:
+        raise DomainError(f"{a} is not invertible mod {p}") from None
 
 
 def least_abs_residue(m: int, p: int) -> int:

@@ -114,10 +114,16 @@ def matrix_to_json(m: MatZ | MatFp) -> dict:
 
 
 def matrix_from_json(obj: dict) -> MatZ | MatFp:
+    """Matrix from its JSON object; a malformed object raises ParseError.
+
+    A modulus that is not prime is a domain error and raises DomainError,
+    as in parse_matrix_text.
+    """
     try:
-        rows = obj["rows"]
-        if "p" in obj and obj["p"] is not None:
-            return MatFp.from_rows(rows, int(obj["p"]))
-        return MatZ.from_rows(rows)
-    except Exception as exc:
+        rows = [[int(x) for x in row] for row in obj["rows"]]
+        p = None if obj.get("p") is None else int(obj["p"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid matrix object: {exc}") from exc
+    if any(len(row) != len(rows) for row in rows):
+        raise ParseError(f"invalid matrix object: {len(rows)} rows do not form a square")
+    return MatZ.from_rows(rows) if p is None else MatFp.from_rows(rows, p)

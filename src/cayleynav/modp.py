@@ -1,17 +1,16 @@
 """Short words for matrices over prime fields.
 
 The integer pipeline carries over through the shared engine
-rowreduce.RowReducer, run over Z/p: entries are lifted to residues in
-[0, p), the lifted columns are gcd-reduced with compressed power chunks,
-and above-diagonal entries are cleared with exponents taken mod p, so
-every chunk costs O(log p) letters.  What changes is the endgame.  Pivots
-are arbitrary nonzero residues rather than +-1, and the leftover diagonal
-is swept to the identity by a cascade of two-row gadgets, each realizing
-diag(a^-1, a) out of a signed swap and three transvection powers.  The
-gadgets run as engine row operations too, so the final identity check
-covers every letter they emit.  As in the integer pipeline, the inverse
-of every premultiplier is appended as it is applied, so the letters come
-out in the order of the final word.
+rowreduce.RowReducer, run over Z/p with the same sequence of steps:
+entries are lifted to residues in [0, p), the lifted columns are
+gcd-reduced with compressed power chunks, above-diagonal entries are
+cleared with exponents taken mod p, so every chunk costs O(log p) letters,
+and the diagonal endgame sweeps the leftover diagonal to the identity.
+The pivots are arbitrary nonzero residues rather than +-1, so each gadget
+diag(a^-1, a) costs O(log p) letters rather than six, and a pivot of 1 is
+skipped.  As in the integer pipeline, the inverse of every premultiplier
+is appended as it is applied, so the letters come out in the order of the
+final word.
 
 Total length is bounded by c * n^2 * ln p; DEFAULT_C was pinned by
 measuring the exhaustive and sampled reports in the test grid.
@@ -22,33 +21,11 @@ import random
 from dataclasses import dataclass
 
 from .bfs import DEFAULT_BUDGET, bfs_distance_map, sl_group_order
-from .core import (
-    MatFp,
-    Word,
-    _word,
-    determinant_fp,
-    inverse_mod,
-    least_abs_residue,
-)
-from .errors import DomainError, InternalStateError, NotInGroupError, UnsupportedDimensionError
+from .core import MatFp, Word, _word, determinant_fp, inverse_mod
+from .errors import DomainError, NotInGroupError, UnsupportedDimensionError
 from .rowreduce import RowReducer
 
 DEFAULT_C = 12.0
-
-
-def _clear_pair(red: RowReducer, i: int, a: int) -> None:
-    """Premultiply rows (i, i+1) of the engine by diag(a^-1, a) mod p.
-
-    These are the gadget's moves as engine row operations: the signed swap,
-    then e(j,i)^a, e(i,j)^(-a^-1), e(j,i)^a, j = i+1, each exponent taken
-    in (-p/2, p/2].
-    """
-    p, j = red.p, i + 1
-    q = least_abs_residue(a, p)
-    red.swap(i, j)
-    red.add(j, i, q)
-    red.add(i, j, least_abs_residue(-inverse_mod(a, p), p))
-    red.add(j, i, q)
 
 
 def word_for_modp(m: MatFp) -> Word:
@@ -62,12 +39,7 @@ def word_for_modp(m: MatFp) -> Word:
     for col in range(1, n):
         red.clear_column(col)
     red.clear_upper()
-    for i in range(1, n):
-        a = red.rows[i - 1][i - 1]
-        if a == 0:
-            raise InternalStateError(f"diagonal entry {i} is zero before its gadget")
-        if a != 1:
-            _clear_pair(red, i, a)
+    red.clear_diagonal()
     red.check_identity()
     return _word(n, tuple(red.out))
 

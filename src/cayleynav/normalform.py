@@ -2,8 +2,9 @@
 
 The matrix is driven to the identity by premultiplications on a
 rowreduce.RowReducer over Z, in three phases: column-by-column gcd
-clearing below the diagonal, pairwise sign repair of negative pivots, then
-compressed clearing of the upper triangle.  The engine appends the inverse
+clearing below the diagonal, compressed clearing of the upper triangle,
+which leaves the +-1 pivots in place, then the diagonal endgame, which
+turns the -1 pivots into +1 two at a time.  The engine appends the inverse
 of every premultiplier as it is applied, so the letters come out in the
 order of the final word, which evaluates to the original matrix.
 
@@ -23,11 +24,7 @@ rows.  The result reports the largest entry met after every row operation
 from dataclasses import dataclass
 
 from .core import MatZ, Word, _word, determinant
-from .errors import (
-    InternalStateError,
-    NotInGroupError,
-    UnsupportedDimensionError,
-)
+from .errors import NotInGroupError, UnsupportedDimensionError
 from .rowreduce import RowReducer
 
 
@@ -87,28 +84,14 @@ def _lll_reduce(red: RowReducer) -> None:
             k += 1
 
 
-def _fix_signs(red: RowReducer) -> None:
-    """Turn -1 pivots into +1 in pairs, each pair by two signed swaps."""
-    n, rows = red.n, red.rows
-    for r in range(n):
-        if any(rows[r][c] != 0 for c in range(r)):
-            raise InternalStateError("matrix is not upper triangular")
-        if rows[r][r] not in (1, -1):
-            raise InternalStateError(f"pivot at column {r + 1} is {rows[r][r]}, not a unit")
-    neg = [r + 1 for r in range(n) if rows[r][r] == -1]
-    if len(neg) % 2:
-        raise InternalStateError("odd number of negative pivots, determinant is -1")
-    for i, j in zip(neg[0::2], neg[1::2]):
-        red.swap(i, j)
-        red.swap(i, j)
-
-
 @dataclass(frozen=True)
 class NormalFormResult:
     """Word for a unimodular matrix plus per-phase diagnostics.
 
-    phase_lengths counts letters contributed by the three phases, the LLL
-    pre-reduction included in phase one.  column_norms lists the sup norm
+    phase_lengths counts letters as (column, sign, upper): column clearing
+    with the LLL pre-reduction, the diagonal endgame that clears the -1
+    pivots, and upper clearing.  The endgame runs last, after upper
+    clearing, though its count comes second.  column_norms lists the sup norm
     before phase one and after each cleared column.  peak_norm is the
     largest |entry| of the working matrix, the input included, after every
     row operation of every phase; a compressed chunk counts as one operation.
@@ -137,12 +120,12 @@ def normal_form_result(m: MatZ) -> NormalFormResult:
         red.clear_column(col)
         norms.append(max(abs(x) for row in rows for x in row))
     n1 = len(red.out)
-    _fix_signs(red)
-    n2 = len(red.out)
     red.clear_upper()
+    n2 = len(red.out)
+    red.clear_diagonal()
     red.check_identity()
     word = _word(n, tuple(red.out))
-    return NormalFormResult(word, (n1, n2 - n1, len(word) - n2), tuple(norms), red.peak)
+    return NormalFormResult(word, (n1, len(word) - n2, n2 - n1), tuple(norms), red.peak)
 
 
 def normal_form(m: MatZ) -> Word:

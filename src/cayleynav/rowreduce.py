@@ -13,10 +13,14 @@ core._word, and check_identity vouches for what they evaluate to.
 Column clearing folds the column into a carrier row by Euclidean division
 (euclid.division_steps, the same moves and auxiliary indices as
 accelerated_reduce) and moves the carrier onto the diagonal with a signed
-swap; upper clearing zeroes the strict upper triangle column by column.
-Over Z/p the column entries are lifted residues in [0, p), so the division
-runs on integers and the exponents stay below p, and upper clearing takes
-its exponents in the least-absolute window (-p/2, p/2].
+swap; upper clearing zeroes the strict upper triangle column by column,
+dividing out each unit pivot; the diagonal endgame sweeps the remaining
+diagonal of units to the identity with the gadget diag(a^-1, a), which
+over Z has a = -1.  Both rings run the same sequence: clear_column for
+each column, clear_upper, clear_diagonal, check_identity.  Over Z/p the
+column entries are lifted residues in [0, p), so the division runs on
+integers and the exponents stay below p, and upper clearing and the
+endgame take their exponents in the least-absolute window (-p/2, p/2].
 """
 
 from .compression import _power_letters
@@ -89,25 +93,53 @@ class RowReducer:
         if not self._is_unit(pivot):
             raise InternalStateError(f"gcd of column {col} is {pivot}, matrix is not unimodular")
 
+    def _lift(self, v: int) -> int:
+        return v if self.p is None else least_abs_residue(v, self.p)
+
+    def _inverse(self, u: int) -> int:
+        return u if self.p is None else inverse_mod(u, self.p)
+
     def clear_upper(self) -> None:
         """Zero the strict upper triangle, column by column from the left.
 
-        Over Z every pivot must be 1; over Z/p any nonzero pivot is divided
-        out of the exponent.
+        Every pivot must be a unit; it is divided out of the exponent and
+        stays on the diagonal for clear_diagonal.
         """
-        n, p, rows = self.n, self.p, self.rows
+        n, rows = self.n, self.rows
         for r in range(n):
-            if any(rows[r][:r]) or (rows[r][r] != 1 if p is None else rows[r][r] == 0):
-                raise InternalStateError(
-                    "matrix is not upper unitriangular" if p is None
-                    else "matrix is not upper triangular with nonzero pivots"
-                )
+            if any(rows[r][:r]) or not self._is_unit(rows[r][r]):
+                raise InternalStateError("matrix is not upper triangular with unit pivots")
         for j in range(2, n + 1):
-            inv = 1 if p is None else inverse_mod(rows[j - 1][j - 1], p)
+            inv = self._inverse(rows[j - 1][j - 1])
             for i in range(1, j):
                 v = rows[i - 1][j - 1]
                 if v != 0:
-                    self.add(i, j, -v if p is None else least_abs_residue(-v * inv, p))
+                    self.add(i, j, self._lift(-v * inv))
+
+    def clear_diagonal(self) -> None:
+        """Sweep a diagonal of units to the identity, two pivots at a time.
+
+        A pivot a != 1 at i is paired with the next pivot != 1 at j, and rows
+        (i, j) are premultiplied by diag(a^-1, a): the signed swap, then
+        row_j += a row_i, row_i -= a^-1 row_j, row_j += a row_i.  Pivot i
+        becomes 1 and pivot j absorbs a.  Over Z, a = -1 is its own inverse.
+        """
+        n, rows = self.n, self.rows
+        for r in range(n):
+            if any(rows[r][c] for c in range(n) if c != r) or not self._is_unit(rows[r][r]):
+                raise InternalStateError("matrix is not diagonal with unit pivots")
+        for i in range(1, n + 1):
+            a = rows[i - 1][i - 1]
+            if a == 1:
+                continue
+            j = next((j for j in range(i + 1, n + 1) if rows[j - 1][j - 1] != 1), None)
+            if j is None:
+                raise InternalStateError(f"pivot {a} at {i} has no partner, determinant is not 1")
+            q = self._lift(a)
+            self.swap(i, j)
+            self.add(j, i, q)
+            self.add(i, j, self._lift(-self._inverse(a)))
+            self.add(j, i, q)
 
     def check_identity(self) -> None:
         n, rows = self.n, self.rows

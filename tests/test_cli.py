@@ -89,6 +89,9 @@ def test_matrix_json_round_trip():
     assert matrix_from_json(matrix_to_json(m)) == m
     with pytest.raises(ParseError):
         matrix_from_json({"rows": [[1, 0], [0]]})
+    # a well-formed object with a modulus that is not prime is a domain error
+    with pytest.raises(DomainError):
+        matrix_from_json({"n": 2, "p": 6, "rows": [[1, 0], [0, 1]]})
 
 
 # ---------------------------------------------------------------- commands

@@ -17,7 +17,7 @@ from cayleynav.bfs import bfs_diameter, bfs_distance_map
 from cayleynav.compression import compress_power, fib_power_word
 from cayleynav.core import AB, ELEMENTARY, MatFp, MatZ, Word, determinant_fp, eletter
 from cayleynav.modp import random_sl_fp, word_for_modp
-from cayleynav.normalform import _fix_signs, normal_form_result
+from cayleynav.normalform import normal_form_result
 from cayleynav.rowreduce import RowReducer
 
 
@@ -40,7 +40,7 @@ def unimodular_corpus(n: int):
             q = rng.randint(-spread, spread)
             rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
         out.append(MatZ.from_rows(rows))
-    # upper triangular with two negative pivots: no LLL, a non-empty sign fix
+    # upper triangular with two negative pivots: no LLL, a non-empty diagonal phase
     rows = [[(rng.randint(-50, 50) if c > r else int(r == c)) for c in range(n)] for r in range(n)]
     rows[0] = [-x for x in rows[0]]
     rows[n - 1] = [-x for x in rows[n - 1]]
@@ -50,27 +50,27 @@ def unimodular_corpus(n: int):
 
 GOLDEN_Z = {
     3: (
-        "1c980d253d0b827c76b20b44a72d5421fdf1b44676d76c7435deb53840db30de",
+        "3002df4e59fd9356d3abed5582d0eaf1a0508cc71afeff0b8d5b54e497916f40",
         "c8a24a20cd9d440683e33c4f88b2b96524c1e5c3b9cb88ea9b3db56875d927e3",
     ),
     4: (
-        "55192faf2762709fcaf4ee637fe630c283055de8de96fd4b731dc3177c611422",
+        "2e35a96d189c595b41d0c40fc03649d984a10f6133087d70d9129c4d49c6fc2d",
         "4eee6b419dcb5c4265a8d473e399841075abb403afa237fe10738b860bcc3bcc",
     ),
     5: (
-        "e0d6ebdb4a7753348951056ffd7fe8c449ab6759dbee778bbbcb3b734c8f4e86",
+        "8974909821af30996bbe0e7e702daa3c071503ec36a6f29684b3eecef63de60d",
         "509d4a25ff811bc50cf9f9d8e50f1df0e18bc8307030e9a33dbcf0c1ce7dcfd3",
     ),
     6: (
-        "da89c50d05f091d51fb58566f24c30e343cf196793a652c658ac6fffa92627be",
+        "5d44bfa932134416b6d727b59ebb6899b878be63a4d1808ca73fe3bdf321a805",
         "91236d7680a915a42ee674ae8515003660737f97b4b5225a92253ff0a2684931",
     ),
     7: (
-        "ea1b60b0127b9913468f3235e3094f296a1941c7c8e1d698cccd14ea509a202a",
+        "48a6e2b2166386130cd5b2f7d4de31a5b9802bf2ea708db22ea41ff420a576f8",
         "c417537506faca92e08d879bbcf7b9e664cb24735d4655a2320de48c4bea17e4",
     ),
     8: (
-        "157b535ee01872f2ec04d3abbb596fcd3e7e4b6e4bc61341e8691b13e7a3f17b",
+        "5105528a8a7ddca822ee1f35e13085ed815a4d9e51bbcb6c04a985edc345e409",
         "e66ec6f49794dc6a97c763c2f5478eed8aa3735326ea5949b5702eec76b09947",
     ),
 }
@@ -88,7 +88,7 @@ def test_golden_normal_form_words(n):
     # that phase's premultiplier word
     red = RowReducer([list(r) for r in unimodular_corpus(n)[1].rows])
     phases = [(RowReducer.clear_column, col) for col in range(1, n)]
-    phases += [(_fix_signs,), (RowReducer.clear_upper,)]
+    phases += [(RowReducer.clear_upper,), (RowReducer.clear_diagonal,)]
     for run, *args in phases:
         start = len(red.out)
         run(red, *args)
@@ -113,8 +113,8 @@ def test_golden_word_for_modp_all_of_sl3_f2():
 GOLDEN_FP = {
     (3, 101): "b0e7582f26e77a8ca927f7c7be498bff5f8ca234110dc9926d8ac807efc6fb90",
     (4, 10007): "ccc7301233af40f0a8910a15ce5d10c27d9249fe7101494ca9cb984cc6f4621a",
-    (5, 2**31 - 1): "3543c873ba403fdafa0c2f0750362b0c3077f6b19ece976fd31596eee0de4f8f",
-    (6, 2**61 - 1): "53cd5936017ea12675dd3b4f5566acc6cbf5a8d85d78a3ce283bc8bc7a6050ad",
+    (5, 2**31 - 1): "1778b379c765fc6da5a83a2ab55bbb14183e9332918dec75993e04566a3b2980",
+    (6, 2**61 - 1): "5fc536e5f004a13624fa2d80ed13d092336688a20c298cba1bf82a0f199f0ca8",
 }
 
 

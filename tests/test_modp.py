@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,10 +10,12 @@ from cayleynav.bfs import bfs_distance_map
 from cayleynav.compression import compress_power
 from cayleynav.core import (
     MatFp,
+    MatZ,
     Word,
     determinant_fp,
     eletter,
     eval_word_fp,
+    eval_word_z,
     inverse_mod,
     least_abs_residue,
 )
@@ -25,7 +28,6 @@ from cayleynav.errors import (
 from cayleynav.modp import (
     DEFAULT_C,
     FpReport,
-    _clear_pair,
     diameter_upper_bound_report,
     length_bound_modp,
     random_sl_fp,
@@ -48,9 +50,12 @@ def all_sl3_f2():
 
 
 def gadget(n, i, a, p):
-    """Premultiplier word of the gadget at rows (i, i+1), run on the engine from the identity."""
-    red = RowReducer([[int(r == c) for c in range(n)] for r in range(n)], p)
-    _clear_pair(red, i, a % p)
+    """Premultiplier word of the gadget at rows (i, i+1): the engine clears a at i, a^-1 at i+1."""
+    diag = [1] * n
+    diag[i - 1], diag[i] = a % p, inverse_mod(a, p)
+    red = RowReducer([[diag[r] if r == c else 0 for c in range(n)] for r in range(n)], p)
+    red.clear_diagonal()
+    red.check_identity()
     return Word(n, tuple(red.out)).inverse()
 
 
@@ -63,9 +68,9 @@ def test_gadget_trades_adjacent_diagonal_entries():
 
 
 def test_gadget_unit_pivot_collapses_to_identity():
-    w = gadget(3, 1, 1, 5)
-    assert len(w) == 6
-    assert eval_word_fp(w, 5) == MatFp.identity(3, 5)
+    # a pivot of 1 emits no letters
+    for a in (1, 6, 11):
+        assert len(gadget(3, 1, a, 5)) == 0
 
 
 def test_gadget_only_touches_the_chosen_block():
@@ -83,12 +88,12 @@ def test_gadget_across_primes():
 
 
 def test_gadget_letters_follow_the_docstring_formula():
-    # _clear_pair's moves as one premultiplier, the first move rightmost:
+    # clear_diagonal's moves as one premultiplier, the first move rightmost:
     # e(j,i)^a e(i,j)^(-a^-1) e(j,i)^a (e(i,j) e(j,i)^-1 e(i,j)), j = i+1,
     # each power spelled by compress_power with its least-absolute exponent
     for p in (2, 3, 7, 101, 2**31 - 1, 2**61 - 1):
         for a in {1, 2, 3, 5, p - 1, p // 2, p // 2 + 1, 10**12 + 39}:
-            if a % p == 0:
+            if a % p in (0, 1):
                 continue
             for n in (3, 5):
                 for i in range(1, n):
@@ -98,6 +103,52 @@ def test_gadget_letters_follow_the_docstring_formula():
                     swap = (eletter(i, j), eletter(j, i, -1), eletter(i, j))
                     w = gadget(n, i, a, p)
                     assert w.letters == power_a + power_inv + power_a + swap
+
+
+def test_word_for_modp_diagonal_skips_unit_pivots():
+    # one gadget per pair of pivots != 1, none spent on the 1 between them
+    for p, entries, length in ((7, (3, 1, 5), 11), (11, (2, 1, 1, 6), 12)):
+        m = diag_fp(p, entries)
+        w = word_for_modp(m)
+        assert len(w) == length
+        assert eval_word_fp(w, p) == m
+
+
+class CountingReducer(RowReducer):
+    swaps = 0
+
+    def swap(self, i, j):
+        self.swaps += 1
+        super().swap(i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((None, 2, 3, 7, 101, 2**61 - 1)), st.integers(3, 7), st.data())
+def test_clear_diagonal_round_trip(p, n, data):
+    # a unit diagonal with product 1: +-1 with an even number of -1 over Z
+    if p is None:
+        head = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1, max_size=n - 1))
+        diag = head + [math.prod(head)]
+    else:
+        head = data.draw(st.lists(st.integers(1, p - 1), min_size=n - 1, max_size=n - 1))
+        diag = head + [inverse_mod(math.prod(head), p)]
+    rows = [[diag[r] if r == c else 0 for c in range(n)] for r in range(n)]
+    red = CountingReducer([list(r) for r in rows], p)
+    red.clear_diagonal()
+    red.check_identity()
+    # the running product is carried to the next pivot != 1: one gadget at
+    # every pivot != 1 where the product so far is not yet 1
+    gadgets, prod = 0, 1
+    for d in diag:
+        prod = prod * d if p is None else prod * d % p
+        gadgets += d != 1 and prod != 1
+    assert red.swaps == gadgets
+    w = Word(n, tuple(red.out))
+    if p is None:
+        assert len(w) == 6 * gadgets
+        assert eval_word_z(w) == MatZ.from_rows(rows)
+    else:
+        assert eval_word_fp(w, p) == MatFp.from_rows(rows, p)
 
 
 def test_word_for_modp_identity_and_generator():

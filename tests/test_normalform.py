@@ -20,7 +20,6 @@ from cayleynav.errors import (
 )
 from cayleynav.normalform import (
     NormalFormResult,
-    _fix_signs,
     normal_form,
     normal_form_result,
 )
@@ -93,30 +92,37 @@ def test_sign_fix_pairs_of_negative_pivots():
         [[-1, 0, 0], [0, -1, 0], [0, 0, 1]],
         [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
         [[-1, 0, 0], [0, 1, 0], [0, 0, -1]],
+        # non-adjacent pivots pair directly; the 1s between them cost no letters
+        [[int(r == c) * (-1 if r in (1, 4) else 1) for c in range(5)] for r in range(5)],
     ]
     for rows in cases:
-        out, w = run_phase(MatZ.from_rows(rows), _fix_signs)
-        assert out == MatZ.identity(3)
+        out, w = run_phase(MatZ.from_rows(rows), RowReducer.clear_diagonal)
+        assert out == MatZ.identity(len(rows))
         assert len(w) == 6
         assert eval_word_z(w) * MatZ.from_rows(rows) == out
 
 
 def test_sign_fix_negates_whole_rows():
-    m = MatZ.from_rows([[-1, 3, 0], [0, -1, 0], [0, 0, 1]])
-    out, w = run_phase(m, _fix_signs)
-    assert out.rows == ((1, -3, 0), (0, 1, 0), (0, 0, 1))
-    assert w.tokens() == "e(1,2) e(2,1)^-1 e(1,2) e(1,2) e(2,1)^-1 e(1,2)"
+    # the gadget diag(a^-1, a) at a = -1: a signed swap, then e(2,1)^-1 e(1,2) e(2,1)^-1
+    m = MatZ.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    out, w = run_phase(m, RowReducer.clear_diagonal)
+    assert out == MatZ.identity(3)
+    assert w.tokens() == "e(2,1)^-1 e(1,2) e(2,1)^-1 e(1,2) e(2,1)^-1 e(1,2)"
     assert eval_word_z(w) * m == out
 
 
 def test_sign_fix_preconditions():
-    with pytest.raises(InternalStateError):
-        run_phase(MatZ.from_rows([[1, 0, 0], [2, 1, 0], [0, 0, 1]]), _fix_signs)
-    with pytest.raises(InternalStateError):
-        run_phase(MatZ.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), _fix_signs)
+    with pytest.raises(InternalStateError, match="not diagonal"):
+        run_phase(MatZ.from_rows([[1, 0, 0], [2, 1, 0], [0, 0, 1]]), RowReducer.clear_diagonal)
+    with pytest.raises(InternalStateError, match="not diagonal"):
+        run_phase(MatZ.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 1]]), RowReducer.clear_diagonal)
+    with pytest.raises(InternalStateError, match="not diagonal"):
+        run_phase(MatZ.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), RowReducer.clear_diagonal)
     # a lone -1 pivot cannot happen for determinant one input
-    with pytest.raises(InternalStateError):
-        run_phase(MatZ.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]), _fix_signs)
+    for k in range(3):
+        rows = [[int(r == c) * (-1 if r == k else 1) for c in range(3)] for r in range(3)]
+        with pytest.raises(InternalStateError, match=f"pivot -1 at {k + 1} has no partner"):
+            run_phase(MatZ.from_rows(rows), RowReducer.clear_diagonal)
 
 
 def test_upper_clear_compresses_big_entries():
@@ -127,9 +133,16 @@ def test_upper_clear_compresses_big_entries():
     assert eval_word_z(w) * m == MatZ.identity(3)
 
 
+def test_upper_clear_keeps_negative_pivots():
+    m = MatZ.from_rows([[1, 2, 7], [0, -1, 3], [0, 0, -1]])
+    out, w = run_phase(m, RowReducer.clear_upper)
+    assert out.rows == ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+    assert eval_word_z(w) * m == out
+
+
 def test_upper_clear_requires_unit_diagonal():
     with pytest.raises(InternalStateError):
-        run_phase(MatZ.from_rows([[1, 2, 0], [0, -1, 0], [0, 0, -1]]), RowReducer.clear_upper)
+        run_phase(MatZ.from_rows([[1, 2, 0], [0, 2, 0], [0, 0, -1]]), RowReducer.clear_upper)
     with pytest.raises(InternalStateError):
         run_phase(MatZ.from_rows([[1, 0, 0], [3, 1, 0], [0, 0, 1]]), RowReducer.clear_upper)
 

@@ -41,6 +41,8 @@ def test_public_surface():
         (normalform, "sign_fix_phase"),
         (normalform, "upper_clear_phase"),
         (modp, "diagonal_clear_gadget"),
+        (normalform, "_fix_signs"),
+        (modp, "_clear_pair"),
         (compression, "zeckendorf_power_word"),
         (core, "apply_letter"),
     ):
