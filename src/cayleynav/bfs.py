@@ -1,7 +1,7 @@
 """Exhaustive breadth-first oracles over small groups.
 
 These searches provide ground truth for the constructive algorithms: exact
-Cayley distances and diameters for SL_n over tiny prime fields, the word
+distance maps and diameters for SL_n over tiny prime fields, the word
 ball around the identity in SL_2(Z), and optimal pair-reduction counts.
 All of them are exponential in nature, so every entry point checks its
 state budget before touching memory.
@@ -10,16 +10,8 @@ state budget before touching memory.
 from dataclasses import dataclass
 from itertools import product
 
-from .core import (
-    AB,
-    ELEMENTARY,
-    MatFp,
-    abletter,
-    determinant_fp,
-    eletter,
-    is_prime,
-)
-from .errors import BudgetExceededError, DomainError, InternalStateError, NotInGroupError
+from .core import AB, ELEMENTARY, abletter, eletter, is_prime
+from .errors import BudgetExceededError, DomainError, InternalStateError
 from .fibonacci import fib
 
 DEFAULT_BUDGET = 10_000_000
@@ -144,14 +136,12 @@ def _packing(n: int, p: int, alphabet: str, order: int):
     return encode, decode, step
 
 
-def _search(n: int, p: int, alphabet: str, budget: int, target: tuple | None = None):
+def _search(n: int, p: int, alphabet: str, budget: int):
     """Breadth-first levels from the identity over packed states.
 
     Returns (levels, decode): levels[d] lists the packed states at distance
     d in discovery order, and decode turns one back into its flat entry
-    tuple.  With a target, the search stops as soon as the target is
-    discovered, which makes it the last state of the last level; only newly
-    discovered states are compared with it.
+    tuple.
     """
     order = sl_group_order(n, p)
     if order > budget:
@@ -160,10 +150,7 @@ def _search(n: int, p: int, alphabet: str, budget: int, target: tuple | None = N
         )
     encode, decode, step = _packing(n, p, alphabet, order)
     start = encode(tuple(1 if r == c else 0 for r in range(n) for c in range(n)))
-    goal = -1 if target is None else encode(target)
     levels = [[start]]
-    if goal == start:
-        return levels, decode
     seen = {start}
     add = seen.add
     while True:
@@ -174,9 +161,6 @@ def _search(n: int, p: int, alphabet: str, budget: int, target: tuple | None = N
                 if c2 not in seen:
                     add(c2)
                     app(c2)
-                    if c2 == goal:
-                        levels.append(nxt)
-                        return levels, decode
         if not nxt:
             break
         levels.append(nxt)
@@ -216,17 +200,6 @@ def bfs_diameter(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = DEFAU
     levels, _ = _search(n, p, alphabet, budget)
     hist = {d: len(level) for d, level in enumerate(levels)}
     return DiameterReport(n, p, alphabet, sum(hist.values()), len(levels) - 1, hist)
-
-
-def bfs_distance_fp(m: MatFp, alphabet: str = ELEMENTARY, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact Cayley distance of one element, stopping as soon as it is found."""
-    if determinant_fp(m) != 1:
-        raise NotInGroupError("matrix is not in SL: determinant is not 1 mod p")
-    target = m.key()
-    levels, decode = _search(m.n, m.p, alphabet, budget, target)
-    if decode(levels[-1][-1]) != target:
-        raise InternalStateError(f"search ended without reaching {target}")
-    return len(levels) - 1
 
 
 def bfs_ball_sl2z(radius: int, budget: int = DEFAULT_BUDGET) -> dict:

@@ -11,11 +11,12 @@ A chunk on the triple (i, aux, j) uses at most eight letters: top = e(i, j),
 mid = e(i, aux), t = e(aux, j), s = e(j, aux) and their inverses, made once
 per triple and cached.  The walk u lays the carried letters out level by
 level, jumping each gap between Zeckendorf indices with one repeated
-(t, s) block.  A negative exponent gets the inverse template laid out
-directly, t^-2 u^-1 (t s)^n t v^-1 (t s)^n t, so no letter is inverted one
-at a time.  Every template has at least 14 letters, so |m| <= 14 is spelled
-plainly without a decomposition, and above that only the shorter of the
-two spellings is built.
+(t, s) block; the template carrying the single index k spells
+e(i, j)^F_k in 6 + 8 (k // 2) letters.  A negative exponent gets the
+inverse template laid out directly, t^-2 u^-1 (t s)^n t v^-1 (t s)^n t,
+so no letter is inverted one at a time.  Every template has at least 14
+letters, so |m| <= 14 is spelled plainly without a decomposition, and
+above that only the shorter of the two spellings is built.
 """
 
 from functools import lru_cache
@@ -85,20 +86,6 @@ def _template(ks, i: int, aux: int, j: int, inverse: bool = False) -> list:
     v = _walk(ks, top_i, mid_i, (t, s))
     u = _walk(ks, top, mid, (t, s))
     return [t_i, *ts_inv, *v, t_i, *ts_inv, *u, t, t]
-
-
-def fib_power_word(n_blocks: int, parity: str) -> Word:
-    """Word in dimension 3 for e(1,3)^F_{2n} ("even") or e(1,3)^F_{2n+1} ("odd").
-
-    This is the template carrying the single index 2n or 2n + 1; its length
-    is 6 + 8 * n_blocks.
-    """
-    if n_blocks < 0:
-        raise DomainError(f"block count must be non-negative, got {n_blocks}")
-    if parity not in ("even", "odd"):
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    k = 2 * n_blocks + (parity == "odd")
-    return _word(3, tuple(_template((k,), 1, 2, 3)))
 
 
 def _power_letters(n: int, i: int, j: int, m: int, aux: int | None = None) -> list | tuple:

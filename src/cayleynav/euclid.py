@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 from .compression import _power_letters
 from .core import ELEMENTARY, Word, _word, eletter
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 
 DEFAULT_K = 40
+SUBTRACTIVE_STEP_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +65,10 @@ def subtractive_gcd(entries) -> EuclidTrace:
     Each move picks p = position of largest absolute value and q = second
     largest (earliest position on ties) and adds -sign(a_p * a_q) times a_q
     to a_p, so the target magnitude strictly drops.  Stops when a single
-    nonzero entry remains; that entry is the gcd up to sign.
+    nonzero entry remains; that entry is the gcd up to sign.  The step
+    count on a pair is the sum of its continued fraction quotients, as large
+    as the entries themselves, so a reduction that needs more than
+    SUBTRACTIVE_STEP_BUDGET steps raises BudgetExceededError.
     """
     vals = [int(x) for x in entries]
     if len(vals) < 2:
@@ -74,6 +78,11 @@ def subtractive_gcd(entries) -> EuclidTrace:
     initial = tuple(vals)
     steps: list[EuclidStep] = []
     while sum(1 for v in vals if v != 0) > 1:
+        if len(steps) == SUBTRACTIVE_STEP_BUDGET:
+            raise BudgetExceededError(
+                f"subtractive gcd needs more than {SUBTRACTIVE_STEP_BUDGET} steps "
+                "(euclid.SUBTRACTIVE_STEP_BUDGET)"
+            )
         order = sorted(range(len(vals)), key=lambda r: (-abs(vals[r]), r))
         p, q = order[0], order[1]
         s = -1 if vals[p] * vals[q] > 0 else 1
@@ -180,10 +189,10 @@ def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
     return AcceleratedResult(_word(n, tuple(letters)), initial, tuple(vals), qsteps)
 
 
-def step_bound(k: int, max_abs: int, K: float = DEFAULT_K) -> float:
-    """Letter budget K * (k - 1) * (1 + ln max_abs) for an accelerated run."""
+def step_bound(k: int, max_abs: int) -> float:
+    """Letter budget DEFAULT_K * (k - 1) * (1 + ln max_abs) for an accelerated run."""
     if k < 2:
         raise DomainError(f"active length must be at least 2, got {k}")
     if max_abs < 1:
         raise DomainError(f"largest magnitude must be at least 1, got {max_abs}")
-    return K * (k - 1) * (1.0 + math.log(max_abs))
+    return DEFAULT_K * (k - 1) * (1.0 + math.log(max_abs))

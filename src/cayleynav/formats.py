@@ -1,15 +1,18 @@
-"""Plain-text and JSON encodings for matrices and words.
+"""Plain-text input for matrices and words, text and JSON output for words.
 
 Matrix text: first line "N" (integer matrix) or "N p" (mod-p matrix),
 then N lines of N space-separated integers.
 
 Word text: whitespace-separated tokens e(i,j), e(i,j)^-1, A, A^-1, B, B^-1.
 The token stream does not carry the dimension; callers supply it.
+
+Word JSON: {"n": N, "alphabet": ..., "letters": [...]}, each letter
+{"i": i, "j": j, "e": +-1} or {"sym": "A" | "B", "e": +-1}.
 """
 
 import re
 
-from .core import AB, ELEMENTARY, MatFp, MatZ, Word, abletter, eletter
+from .core import ELEMENTARY, MatFp, MatZ, Word, abletter, eletter
 from .errors import ParseError
 
 _TOKEN_RE = re.compile(r"^(?:e\((\d+),(\d+)\)|([AB]))(\^-1)?$")
@@ -73,13 +76,8 @@ def parse_matrix_text(text: str) -> MatZ | MatFp:
     return MatFp.from_rows(rows, p)
 
 
-def format_matrix_text(m: MatZ | MatFp) -> str:
-    header = f"{m.n} {m.p}" if isinstance(m, MatFp) else f"{m.n}"
-    body = "\n".join(" ".join(str(x) for x in row) for row in m.rows)
-    return f"{header}\n{body}\n"
-
-
 def word_to_json(w: Word) -> dict:
+    """The JSON object of a word, as in the module docstring."""
     letters = []
     for l in w.letters:
         if l.alphabet == ELEMENTARY:
@@ -87,43 +85,3 @@ def word_to_json(w: Word) -> dict:
         else:
             letters.append({"sym": l.sym, "e": l.e})
     return {"n": w.n, "alphabet": w.alphabet or ELEMENTARY, "letters": letters}
-
-
-def word_from_json(obj: dict) -> Word:
-    try:
-        n = int(obj["n"])
-        letters = []
-        for d in obj["letters"]:
-            e = int(d.get("e", 1))
-            if "sym" in d:
-                letters.append(abletter(d["sym"], e))
-            else:
-                letters.append(eletter(int(d["i"]), int(d["j"]), e))
-        return Word(n, tuple(letters))
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"invalid word object: {exc}") from exc
-
-
-def matrix_to_json(m: MatZ | MatFp) -> dict:
-    obj = {"n": m.n, "rows": [list(row) for row in m.rows]}
-    if isinstance(m, MatFp):
-        obj["p"] = m.p
-    return obj
-
-
-def matrix_from_json(obj: dict) -> MatZ | MatFp:
-    """Matrix from its JSON object; a malformed object raises ParseError.
-
-    A modulus that is not prime is a domain error and raises DomainError,
-    as in parse_matrix_text.
-    """
-    try:
-        rows = [[int(x) for x in row] for row in obj["rows"]]
-        p = None if obj.get("p") is None else int(obj["p"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"invalid matrix object: {exc}") from exc
-    if any(len(row) != len(rows) for row in rows):
-        raise ParseError(f"invalid matrix object: {len(rows)} rows do not form a square")
-    return MatZ.from_rows(rows) if p is None else MatFp.from_rows(rows, p)

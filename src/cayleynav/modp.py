@@ -12,7 +12,7 @@ skipped.  As in the integer pipeline, the inverse of every premultiplier
 is appended as it is applied, so the letters come out in the order of the
 final word.
 
-Total length is bounded by c * n^2 * ln p; DEFAULT_C was pinned by
+Total length is bounded by DEFAULT_C * n^2 * ln p; DEFAULT_C was pinned by
 measuring the exhaustive and sampled reports in the test grid.
 """
 
@@ -44,9 +44,9 @@ def word_for_modp(m: MatFp) -> Word:
     return _word(n, tuple(red.out))
 
 
-def length_bound_modp(n: int, p: int, c: float = DEFAULT_C) -> float:
-    """Letter budget c * n^2 * ln p for one mod-p reduction."""
-    return c * n * n * math.log(p)
+def length_bound_modp(n: int, p: int) -> float:
+    """Letter budget DEFAULT_C * n^2 * ln p for one mod-p reduction."""
+    return DEFAULT_C * (n * n * math.log(p))
 
 
 def random_sl_fp(n: int, p: int, rng: random.Random) -> MatFp:
@@ -124,7 +124,7 @@ def diameter_upper_bound_report(
         max_length=max(lengths),
         mean_length=sum(lengths) / len(lengths),
         normalized_max=max(lengths) / norm,
-        bound=DEFAULT_C * norm,
+        bound=length_bound_modp(n, p),
         c_const=DEFAULT_C,
         seed=used_seed,
     )

@@ -1,18 +1,10 @@
 import random
-from functools import reduce
 
 import pytest
 
-from cayleynav.abwords import (
-    band_word,
-    column_ones_word,
-    e1k_ab_word,
-    eij_ab_word,
-    rewrite_word_ab,
-)
+from cayleynav.abwords import _piece, e1k_ab_word, eij_ab_word, rewrite_word_ab
 from cayleynav.core import (
     AB,
-    MatZ,
     Word,
     abletter,
     eletter,
@@ -22,21 +14,6 @@ from cayleynav.core import (
 from cayleynav.errors import DomainError, InvalidGeneratorError
 
 
-def band_matrix(k, n):
-    return reduce(
-        lambda acc, t: acc * elementary_matrix(n, t, t + 1),
-        range(1, k),
-        MatZ.identity(n),
-    )
-
-
-def ones_column_matrix(k, n):
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for r in range(k - 1):
-        rows[r][k - 1] = 1
-    return MatZ.from_rows(rows)
-
-
 def random_eword(rng, n, length):
     letters = []
     for _ in range(length):
@@ -44,28 +21,6 @@ def random_eword(rng, n, length):
         j = rng.choice([x for x in range(1, n + 1) if x != i])
         letters.append(eletter(i, j, rng.choice([1, -1])))
     return Word(n, tuple(letters))
-
-
-def test_band_word_values_and_length():
-    for n in (3, 4, 6, 9):
-        for k in range(2, n + 1):
-            w = band_word(k, n)
-            assert len(w) == 3 * k - 5
-            assert eval_word_z(w) == band_matrix(k, n)
-
-
-def test_band_word_k2_is_a_single_a():
-    assert band_word(2, 5).letters == (abletter("A"),)
-
-
-def test_column_ones_word():
-    for n in (3, 5, 8):
-        for k in range(2, n + 1):
-            w = column_ones_word(k, n)
-            assert eval_word_z(w) == ones_column_matrix(k, n)
-            if k >= 3:
-                assert len(w) == 4 * k - 7
-    assert column_ones_word(2, 4).letters == (abletter("A"),)
 
 
 def test_e1k_word_length_is_exact():
@@ -106,11 +61,24 @@ def test_eij_conjugation_prefix():
     assert eval_word_z(w) == elementary_matrix(5, 2, 3)
 
 
+def test_pieces_are_reduced_and_invert_by_codes():
+    # codes A, B, B^-1, A^-1 = 0, 1, 2, 3: the inverse of code c is 3 - c
+    for n in range(2, 17):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                piece = _piece(i, j, 1, n)
+                assert _piece(i, j, -1, n) == tuple(3 - c for c in reversed(piece))
+                assert all(a + b != 3 for a, b in zip(piece, piece[1:])), (i, j, n)
+                assert len(piece) <= 10 * n
+
+
 def test_word_builders_validate_arguments():
     with pytest.raises(DomainError):
-        band_word(1, 4)
+        e1k_ab_word(1, 4)
     with pytest.raises(DomainError):
-        band_word(5, 4)
+        e1k_ab_word(5, 4)
     with pytest.raises(DomainError):
         e1k_ab_word(2, 1)
     with pytest.raises(InvalidGeneratorError):

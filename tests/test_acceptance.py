@@ -11,7 +11,7 @@ import time
 
 from cayleynav.abwords import e1k_ab_word, eij_ab_word
 from cayleynav.bfs import bfs_ball_sl2z, bfs_diameter, bfs_distance_map
-from cayleynav.compression import compress_power, fib_power_word
+from cayleynav.compression import _template, compress_power
 from cayleynav.core import (
     MatFp,
     MatZ,
@@ -69,11 +69,16 @@ def test_acceptance_01_power_words_are_correct_and_short():
     )
 
 
+def fib_template(k):
+    """The template carrying the single Fibonacci index k: e(1,3)^F_k in dimension 3."""
+    return Word(3, tuple(_template((k,), 1, 2, 3)))
+
+
 def test_acceptance_02_fibonacci_template_exactness():
     ok = True
     for t in range(41):
-        even = fib_power_word(t, "even")
-        odd = fib_power_word(t, "odd")
+        even = fib_template(2 * t)
+        odd = fib_template(2 * t + 1)
         ok = ok and len(even) == 6 + 8 * t and len(odd) == 6 + 8 * t
         ok = ok and eval_word_z(even) == transvection_power(3, 1, 3, fib(2 * t))
         ok = ok and eval_word_z(odd) == transvection_power(3, 1, 3, fib(2 * t + 1))

@@ -6,22 +6,13 @@ from cayleynav.bfs import (
     DiameterReport,
     bfs_ball_sl2z,
     bfs_diameter,
-    bfs_distance_fp,
     bfs_distance_map,
     generator_letters,
     min_pair_reduction_steps,
     sl_group_order,
 )
-from cayleynav.core import (
-    AB,
-    ELEMENTARY,
-    MatFp,
-    abletter,
-    eletter,
-    eval_word_fp,
-    Word,
-)
-from cayleynav.errors import BudgetExceededError, DomainError, NotInGroupError
+from cayleynav.core import AB, ELEMENTARY, abletter, eletter
+from cayleynav.errors import BudgetExceededError, DomainError
 from cayleynav.euclid import subtractive_gcd
 from cayleynav.fibonacci import fib
 
@@ -113,27 +104,6 @@ def test_bfs_budget_refusal():
     with pytest.raises(BudgetExceededError):
         bfs_diameter(2, 3, budget=10)
     assert DEFAULT_BUDGET == 10_000_000
-
-
-def test_bfs_distance_fp_single_elements():
-    assert bfs_distance_fp(MatFp.identity(3, 2)) == 0
-    gen = MatFp.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 2)
-    assert bfs_distance_fp(gen) == 1
-    dist = bfs_distance_map(3, 2)
-    deep = next(k for k, v in dist.items() if v == 6)
-    m = MatFp(3, 2, (deep[0:3], deep[3:6], deep[6:9]))
-    assert bfs_distance_fp(m) == 6
-
-
-def test_bfs_distance_fp_membership():
-    with pytest.raises(NotInGroupError):
-        bfs_distance_fp(MatFp.from_rows([[1, 0], [0, 2]], 3))
-
-
-def test_bfs_distance_fp_matches_word_evaluation():
-    w = Word(3, (eletter(1, 2), eletter(2, 3), eletter(1, 2, -1)))
-    m = eval_word_fp(w, 3)
-    assert bfs_distance_fp(m) <= len(w)
 
 
 def test_sl2_ball_layers():

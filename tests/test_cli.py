@@ -4,20 +4,36 @@ import json
 import pytest
 
 from cayleynav.cli import main
-from cayleynav.core import MatFp, MatZ, Word, abletter, eletter, eval_word_fp, eval_word_z
-from cayleynav.errors import DomainError, ParseError
-from cayleynav.formats import (
-    format_matrix_text,
-    format_word_text,
-    matrix_from_json,
-    matrix_to_json,
-    parse_matrix_text,
-    parse_word_text,
-    word_from_json,
-    word_to_json,
+from cayleynav.core import (
+    AB,
+    ELEMENTARY,
+    MatFp,
+    MatZ,
+    Word,
+    abletter,
+    eletter,
+    eval_word_fp,
+    eval_word_z,
 )
+from cayleynav.errors import DomainError, ParseError
+from cayleynav.formats import format_word_text, parse_matrix_text, parse_word_text, word_to_json
 
 PERM = MatZ.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+
+
+def matrix_text(m):
+    """A matrix in the text input format: "N" or "N p", then one line per row."""
+    header = f"{m.n} {m.p}" if isinstance(m, MatFp) else f"{m.n}"
+    return header + "\n" + "".join(" ".join(map(str, row)) + "\n" for row in m.rows)
+
+
+def word_of(obj):
+    """The Word that a JSON word object of the CLI stands for."""
+    letters = (
+        abletter(d["sym"], d["e"]) if "sym" in d else eletter(d["i"], d["j"], d["e"])
+        for d in obj["letters"]
+    )
+    return Word(obj["n"], tuple(letters))
 
 
 def run(capsys, *argv):
@@ -50,20 +66,28 @@ def test_word_text_parse_errors():
 
 
 def test_word_json_round_trip():
-    for w in (
-        Word(3, (eletter(1, 3, -1), eletter(2, 1))),
-        Word(5, (abletter("B"), abletter("A", -1))),
-        Word(3),
-    ):
-        assert word_from_json(json.loads(json.dumps(word_to_json(w)))) == w
-    with pytest.raises(ParseError):
-        word_from_json({"n": 3})
+    cases = {
+        Word(3, (eletter(1, 3, -1), eletter(2, 1))): {
+            "n": 3,
+            "alphabet": ELEMENTARY,
+            "letters": [{"i": 1, "j": 3, "e": -1}, {"i": 2, "j": 1, "e": 1}],
+        },
+        Word(5, (abletter("B"), abletter("A", -1))): {
+            "n": 5,
+            "alphabet": AB,
+            "letters": [{"sym": "B", "e": 1}, {"sym": "A", "e": -1}],
+        },
+        Word(3): {"n": 3, "alphabet": ELEMENTARY, "letters": []},
+    }
+    for w, obj in cases.items():
+        assert word_to_json(w) == obj
+        assert word_of(json.loads(json.dumps(word_to_json(w)))) == w
 
 
 def test_matrix_text_round_trip():
-    assert parse_matrix_text(format_matrix_text(PERM)) == PERM
+    assert parse_matrix_text(matrix_text(PERM)) == PERM
     m = MatFp.from_rows([[1, 2], [3, 4]], 7)
-    assert parse_matrix_text(format_matrix_text(m)) == m
+    assert parse_matrix_text(matrix_text(m)) == m
     assert parse_matrix_text("2\n1 0\n0 1\n") == MatZ.identity(2)
 
 
@@ -81,17 +105,6 @@ def test_matrix_text_parse_errors():
     for header in ("2 6", "2 1", "2 0", "2 -7"):
         with pytest.raises(DomainError):
             parse_matrix_text(header + "\n1 0\n0 1")
-
-
-def test_matrix_json_round_trip():
-    assert matrix_from_json(matrix_to_json(PERM)) == PERM
-    m = MatFp.from_rows([[1, 2], [3, 4]], 7)
-    assert matrix_from_json(matrix_to_json(m)) == m
-    with pytest.raises(ParseError):
-        matrix_from_json({"rows": [[1, 0], [0]]})
-    # a well-formed object with a modulus that is not prime is a domain error
-    with pytest.raises(DomainError):
-        matrix_from_json({"n": 2, "p": 6, "rows": [[1, 0], [0, 1]]})
 
 
 # ---------------------------------------------------------------- commands
@@ -153,7 +166,7 @@ def test_cli_compress_json(capsys):
     payload = json.loads(out)
     assert payload["length"] == 50
     assert payload["bound"] > payload["length"]
-    w = word_from_json(payload["word"])
+    w = word_of(payload["word"])
     assert eval_word_z(w).rows[0][2] == 100
 
 
@@ -163,7 +176,7 @@ def test_cli_compress_exponent_beyond_float_range(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["length"] <= payload["bound"] < 12_000
-    w = word_from_json(payload["word"])
+    w = word_of(payload["word"])
     assert eval_word_z(w) == MatZ.from_rows([[1, 0, m], [0, 1, 0], [0, 0, 1]])
 
 
@@ -175,7 +188,7 @@ def test_cli_compress_modp(capsys):
 
 def test_cli_normal_form_file(tmp_path, capsys):
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix_text(PERM))
+    path.write_text(matrix_text(PERM))
     rc, out, _ = run(capsys, "normal-form", str(path))
     assert rc == 0
     w = parse_word_text(out, 3)
@@ -183,7 +196,7 @@ def test_cli_normal_form_file(tmp_path, capsys):
 
 
 def test_cli_normal_form_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(format_matrix_text(PERM)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(matrix_text(PERM)))
     rc, out, _ = run(capsys, "normal-form")
     assert rc == 0
     assert eval_word_z(parse_word_text(out, 3)) == PERM
@@ -191,7 +204,7 @@ def test_cli_normal_form_stdin(monkeypatch, capsys):
 
 def test_cli_normal_form_stats(tmp_path, capsys):
     path = tmp_path / "batch.txt"
-    path.write_text(format_matrix_text(PERM) + "\n" + format_matrix_text(MatZ.identity(3)))
+    path.write_text(matrix_text(PERM) + "\n" + matrix_text(MatZ.identity(3)))
     rc, out, _ = run(capsys, "normal-form", "--stats", str(path))
     assert rc == 0
     lines = out.splitlines()
@@ -203,17 +216,17 @@ def test_cli_normal_form_stats(tmp_path, capsys):
 
 def test_cli_normal_form_json(tmp_path, capsys):
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix_text(PERM))
+    path.write_text(matrix_text(PERM))
     rc, out, _ = run(capsys, "normal-form", "--json", str(path))
     payload = json.loads(out)
     assert payload["length"] == sum(payload["phase_lengths"])
-    assert eval_word_z(word_from_json(payload["word"])) == PERM
+    assert eval_word_z(word_of(payload["word"])) == PERM
 
 
 def test_cli_normal_form_reports_true_peak(tmp_path, capsys):
     m = MatZ.from_rows([[1, 9, 0], [0, 1, 0], [0, 0, 1]])
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix_text(m))
+    path.write_text(matrix_text(m))
     rc, out, _ = run(capsys, "normal-form", "--json", str(path))
     payload = json.loads(out)
     assert rc == 0
@@ -229,7 +242,7 @@ def test_cli_normal_form_reports_true_peak(tmp_path, capsys):
 def test_cli_normal_form_stats_whitespace_separator(tmp_path, capsys):
     path = tmp_path / "batch.txt"
     path.write_text(
-        format_matrix_text(PERM) + "  \t\n" + format_matrix_text(MatZ.identity(3)) + " \n\n"
+        matrix_text(PERM) + "  \t\n" + matrix_text(MatZ.identity(3)) + " \n\n"
     )
     rc, out, _ = run(capsys, "normal-form", "--stats", str(path))
     assert rc == 0
@@ -256,7 +269,7 @@ def test_cli_reduce_modp(tmp_path, capsys):
 
 def test_cli_reduce_modp_needs_modp_header(tmp_path, capsys):
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix_text(PERM))
+    path.write_text(matrix_text(PERM))
     rc, _, err = run(capsys, "reduce-modp", str(path))
     assert rc == 2
 
@@ -267,7 +280,7 @@ def test_cli_reduce_modp_random(tmp_path, capsys):
 
     assert determinant_fp(m) == 1
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix_text(m))
+    path.write_text(matrix_text(m))
     rc, out, _ = run(capsys, "reduce-modp", str(path))
     assert rc == 0
     assert eval_word_fp(parse_word_text(out, 3), 7) == m
@@ -341,7 +354,7 @@ def test_cli_sl2_lowerbound(capsys):
 
 def test_cli_verify_match(tmp_path, capsys):
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix_text(PERM))
+    path.write_text(matrix_text(PERM))
     word = tmp_path / "w.txt"
     from cayleynav.normalform import normal_form
 
@@ -389,6 +402,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 3 and "determinant" in err
     rc, _, err = run(capsys, "bfs-diameter", "3", "101")
     assert rc == 4 and "error:" in err
+
+
+def test_cli_gcd_step_budget_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr("cayleynav.euclid.SUBTRACTIVE_STEP_BUDGET", 100)
+    rc, out, err = run(capsys, "gcd", "1", "1000")
+    assert rc == 4 and out == ""
+    assert err == "error: subtractive gcd needs more than 100 steps (euclid.SUBTRACTIVE_STEP_BUDGET)\n"
 
 
 def test_cli_unreadable_file_is_a_parse_error(tmp_path, capsys):

@@ -7,7 +7,6 @@ from cayleynav.compression import (
     _template,
     compress_power,
     compress_power_modp,
-    fib_power_word,
 )
 from cayleynav.core import (
     MatZ,
@@ -41,31 +40,29 @@ def target(n, i, j, m):
     return MatZ.from_rows(rows)
 
 
+def fib_template(k):
+    """The template carrying the single Fibonacci index k: e(1,3)^F_k in dimension 3."""
+    return Word(3, tuple(_template((k,), 1, 2, 3)))
+
+
 def test_fib_power_word_zero_blocks():
-    w = fib_power_word(0, "even")
+    w = fib_template(0)
     assert len(w) == 6
     assert w.tokens() == "e(2,3)^-1 e(1,3)^-1 e(2,3)^-1 e(1,3) e(2,3) e(2,3)"
     assert eval_word_z(w) == MatZ.identity(3)
-    w = fib_power_word(0, "odd")
+    w = fib_template(1)
     assert len(w) == 6
     assert eval_word_z(w) == elementary_matrix(3, 1, 3)
 
 
 def test_fib_power_word_hits_fibonacci_exponents():
     for t in range(13):
-        even = fib_power_word(t, "even")
-        odd = fib_power_word(t, "odd")
+        even = fib_template(2 * t)
+        odd = fib_template(2 * t + 1)
         assert len(even) == 6 + 8 * t
         assert len(odd) == 6 + 8 * t
         assert eval_word_z(even) == e13_power(fib(2 * t))
         assert eval_word_z(odd) == e13_power(fib(2 * t + 1))
-
-
-def test_fib_power_word_rejects_bad_args():
-    with pytest.raises(DomainError):
-        fib_power_word(-1, "even")
-    with pytest.raises(DomainError):
-        fib_power_word(2, "both")
 
 
 def zeckendorf_power_word(m):
@@ -76,8 +73,8 @@ def zeckendorf_power_word(m):
 def test_zeckendorf_power_word_single_fibonacci():
     # a pure Fibonacci number reproduces the fixed-template word letter for letter
     for t in range(1, 13):
-        assert zeckendorf_power_word(fib(2 * t)).letters == fib_power_word(t, "even").letters
-        assert zeckendorf_power_word(fib(2 * t + 1)).letters == fib_power_word(t, "odd").letters
+        assert zeckendorf_power_word(fib(2 * t)).letters == fib_template(2 * t).letters
+        assert zeckendorf_power_word(fib(2 * t + 1)).letters == fib_template(2 * t + 1).letters
 
 
 def test_zeckendorf_power_word_values():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cayleynav.core import Word, abletter, eletter
-from cayleynav.errors import DomainError
+from cayleynav import euclid
+from cayleynav.errors import BudgetExceededError, DomainError
 from cayleynav.euclid import (
     DEFAULT_K,
     AcceleratedResult,
@@ -196,10 +197,20 @@ def test_accelerated_input_validation():
         accelerated_reduce((5, 0, 0), 2)
 
 
+def test_subtractive_step_budget(monkeypatch):
+    assert euclid.SUBTRACTIVE_STEP_BUDGET == 1_000_000
+    monkeypatch.setattr(euclid, "SUBTRACTIVE_STEP_BUDGET", 100)
+    # (1, m) takes exactly m unit steps: 100 fit the budget, 101 do not
+    assert subtractive_gcd((1, 100)).step_count == 100
+    with pytest.raises(BudgetExceededError, match="more than 100 steps"):
+        subtractive_gcd((1, 101))
+    with pytest.raises(BudgetExceededError):
+        subtractive_gcd((3, 1000, 7))
+
+
 def test_step_bound_values_and_guards():
     assert step_bound(2, 1) == pytest.approx(DEFAULT_K)
     assert step_bound(3, 32) == pytest.approx(357.2588722239782)
-    assert step_bound(3, 32, K=10.0) == pytest.approx(89.31471805599453)
     with pytest.raises(DomainError):
         step_bound(1, 10)
     with pytest.raises(DomainError):

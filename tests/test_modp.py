@@ -244,9 +244,6 @@ def test_report_rejects_empty_sample():
 def test_length_bound_modp_scales():
     assert length_bound_modp(3, 2) == pytest.approx(74.8598955004741)
     assert length_bound_modp(3, 101) < length_bound_modp(4, 101)
-    assert length_bound_modp(3, 101, c=1.0) * DEFAULT_C == pytest.approx(
-        length_bound_modp(3, 101)
-    )
 
 
 @settings(max_examples=40, deadline=None)

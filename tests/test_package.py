@@ -1,5 +1,5 @@
 import cayleynav
-from cayleynav import compression, core, modp, normalform
+from cayleynav import abwords, bfs, compression, core, formats, modp, normalform
 
 PUBLIC = {
     # the pipeline: letters, words, matrices, builders, evaluators, oracles
@@ -35,7 +35,8 @@ def test_public_surface():
     namespace = {}
     exec("from cayleynav import *", namespace)
     assert PUBLIC <= namespace.keys()
-    # wrappers that repeated an engine path are gone from their modules
+    # wrappers that repeated an engine path, and paths no caller reached,
+    # are gone from their modules
     for module, name in (
         (normalform, "column_clear_phase"),
         (normalform, "sign_fix_phase"),
@@ -45,5 +46,13 @@ def test_public_surface():
         (modp, "_clear_pair"),
         (compression, "zeckendorf_power_word"),
         (core, "apply_letter"),
+        (abwords, "band_word"),
+        (abwords, "column_ones_word"),
+        (bfs, "bfs_distance_fp"),
+        (compression, "fib_power_word"),
+        (formats, "word_from_json"),
+        (formats, "matrix_from_json"),
+        (formats, "matrix_to_json"),
+        (formats, "format_matrix_text"),
     ):
         assert not hasattr(module, name), name
