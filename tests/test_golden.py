@@ -16,6 +16,7 @@ from cayleynav.abwords import rewrite_word_ab
 from cayleynav.bfs import bfs_diameter, bfs_distance_map
 from cayleynav.compression import _template, compress_power
 from cayleynav.core import AB, ELEMENTARY, MatFp, MatZ, Word, determinant_fp, eletter
+from cayleynav.euclid import accelerated_reduce
 from cayleynav.modp import random_sl_fp, word_for_modp
 from cayleynav.normalform import normal_form_result
 from cayleynav.rowreduce import RowReducer
@@ -158,6 +159,37 @@ def test_golden_compress_power():
     # the single-index templates for F_0 .. F_81, in index order
     words = (Word(3, tuple(_template((k,), 1, 2, 3))).tokens() for k in range(82))
     assert digest(words) == GOLDEN_FIB_POWER
+
+
+# ---------------------------------------------------------------- gcd
+# accelerated_reduce on seeded tuples: N = 3..8, every active length k,
+# entries at three sizes with some forced zeros.
+
+
+def accelerated_corpus():
+    rng = random.Random("golden:accelerated")
+    cases = []
+    for n in range(3, 9):
+        for k in range(2, n + 1):
+            for bound in (20, 10**6, 10**30):
+                entries = [rng.randint(-bound, bound) for _ in range(n)]
+                for pos in rng.sample(range(n), rng.randrange(n - 1)):
+                    entries[pos] = 0
+                if any(entries[n - k :]):
+                    cases.append((tuple(entries), k))
+    return cases
+
+
+GOLDEN_ACCELERATED = "17b1efefc75604a9a853bba2d60f3d19d5b97d729b7222d98b8928990025c779"
+
+
+def test_golden_accelerated_reduce():
+    lines = []
+    for entries, k in accelerated_corpus():
+        res = accelerated_reduce(entries, k)
+        moves = [(q.target, q.source, q.multiple) for q in res.quotient_steps]
+        lines.append(f"{entries} {k} {res.final} {moves} {res.word.tokens()}")
+    assert digest(lines) == GOLDEN_ACCELERATED
 
 
 # ---------------------------------------------------------------- oracles
