@@ -51,15 +51,6 @@ def _corner(k: int) -> tuple[int, ...]:
     return _ones_column(k) + (_BI,) + _inverse(_ones_column(k - 1)) + (_B,)
 
 
-def e1k_ab_word(k: int, n: int) -> Word:
-    """Word over A, B equal to e(1, k), exactly 8k - 16 letters for k >= 3."""
-    if n < 2:
-        raise DomainError(f"dimension must be at least 2, got {n}")
-    if not (2 <= k <= n):
-        raise DomainError(f"block size must lie in 2..{n}, got {k}")
-    return _ab_word(n, _corner(k))
-
-
 @lru_cache(maxsize=None)
 def eij_ab_word(i: int, j: int, n: int) -> Word:
     """Word over A, B equal to e(i, j), at most 10n letters."""

@@ -27,7 +27,7 @@ from .core import (
     eval_word_z,
     sup_norm,
 )
-from .errors import BudgetExceededError, CayleyNavError, ParseError
+from .errors import BudgetExceededError, CayleyNavError, DomainError, ParseError
 from .euclid import DEFAULT_K, accelerated_reduce, step_bound, subtractive_gcd
 from .fibonacci import zeckendorf, zeckendorf_length_bound
 from .formats import (
@@ -81,7 +81,7 @@ def cmd_zeckendorf(args) -> int:
 def cmd_gcd(args) -> int:
     entries = tuple(args.entries)
     trace = subtractive_gcd(entries)
-    padded = entries if len(entries) >= 3 else entries + (0,)
+    padded = entries if len(entries) >= 3 else (0,) + entries
     res = accelerated_reduce(padded, args.active)
     k_eff = args.active if args.active is not None else len(padded)
     max_abs = max(abs(x) for x in padded)
@@ -209,6 +209,8 @@ def cmd_rewrite_ab(args) -> int:
 
 
 def cmd_ab_table(args) -> int:
+    if args.n < 2:
+        raise DomainError(f"dimension must be at least 2, got {args.n}")
     rows = []
     lines = []
     for i in range(1, args.n + 1):

@@ -2,61 +2,63 @@
 
 Two reducers live here.  The subtractive one performs a_p += s * a_q one
 unit multiple at a time and exists mainly for its step statistics; its step
-count on a pair equals the sum of the continued fraction quotients.  The
-accelerated one replaces runs of equal subtractions by a single compressed
-power word, so the letter count is logarithmic in the entry size.  Its
-division moves (division_steps) and auxiliary-index rule (aux_index) are
-the ones rowreduce.RowReducer applies to whole rows when it clears a
-column.
+count on a pair equals the sum of the continued fraction quotients.  It
+records every run of equal unit steps as one QuotientStep, so the count is
+exact at any size.  The accelerated one is rowreduce.RowReducer.fold on
+the one-column matrix of the entries: the division moves and auxiliary
+indices that clear a column of a matrix, each quotient one compressed
+power chunk, so the letter count is logarithmic in the entry size.
 """
 
 import math
 from dataclasses import dataclass
 
-from .compression import _power_letters
 from .core import ELEMENTARY, Word, _word, eletter
 from .errors import BudgetExceededError, DomainError
+from .rowreduce import RowReducer
 
 DEFAULT_K = 40
 SUBTRACTIVE_STEP_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class EuclidStep:
-    """One subtractive move a_target += sign * a_source, indices 1-based."""
+@dataclass(frozen=True)
+class QuotientStep:
+    """One move a_target += multiple * a_source, indices 1-based."""
 
     target: int
     source: int
-    sign: int
+    multiple: int
 
 
 @dataclass(frozen=True)
 class EuclidTrace:
-    """Full record of a subtractive reduction."""
+    """Full record of a subtractive reduction, one step per run of unit moves."""
 
     initial: tuple[int, ...]
-    steps: tuple[EuclidStep, ...]
+    steps: tuple[QuotientStep, ...]
     final: tuple[int, ...]
 
     @property
     def step_count(self) -> int:
-        return len(self.steps)
+        return sum(abs(st.multiple) for st in self.steps)
 
     def tuples(self) -> list[tuple[int, ...]]:
-        """Every intermediate tuple, from initial to final inclusive."""
+        """Every intermediate tuple, one per unit move, from initial to final inclusive."""
         vals = list(self.initial)
         out = [self.initial]
         for st in self.steps:
-            vals[st.target - 1] += st.sign * vals[st.source - 1]
-            out.append(tuple(vals))
+            sign = 1 if st.multiple > 0 else -1
+            for _ in range(abs(st.multiple)):
+                vals[st.target - 1] += sign * vals[st.source - 1]
+                out.append(tuple(vals))
         return out
 
     def word(self) -> Word:
         """Premultiplier word: evaluating it on initial yields final."""
-        return Word(
-            len(self.initial),
-            tuple(eletter(st.target, st.source, st.sign) for st in reversed(self.steps)),
-        )
+        letters = []
+        for st in reversed(self.steps):
+            letters += (eletter(st.target, st.source, 1 if st.multiple > 0 else -1),) * abs(st.multiple)
+        return Word(len(self.initial), tuple(letters))
 
 
 def subtractive_gcd(entries) -> EuclidTrace:
@@ -65,10 +67,13 @@ def subtractive_gcd(entries) -> EuclidTrace:
     Each move picks p = position of largest absolute value and q = second
     largest (earliest position on ties) and adds -sign(a_p * a_q) times a_q
     to a_p, so the target magnitude strictly drops.  Stops when a single
-    nonzero entry remains; that entry is the gcd up to sign.  The step
-    count on a pair is the sum of its continued fraction quotients, as large
-    as the entries themselves, so a reduction that needs more than
-    SUBTRACTIVE_STEP_BUDGET steps raises BudgetExceededError.
+    nonzero entry remains; that entry is the gcd up to sign.  While p stays
+    largest q stays second, so the moves come in runs of |a_p| // |a_q|,
+    one fewer when |a_q| divides |a_p| and p > q (the tie then goes to q),
+    and each run is one floor division.  The step count on a pair is the
+    sum of its continued fraction quotients, as large as the entries
+    themselves, so a reduction that needs more than SUBTRACTIVE_STEP_BUDGET
+    steps raises BudgetExceededError.
     """
     vals = [int(x) for x in entries]
     if len(vals) < 2:
@@ -76,18 +81,22 @@ def subtractive_gcd(entries) -> EuclidTrace:
     if all(v == 0 for v in vals):
         raise DomainError("all entries are zero, gcd undefined")
     initial = tuple(vals)
-    steps: list[EuclidStep] = []
+    steps: list[QuotientStep] = []
+    count = 0
     while sum(1 for v in vals if v != 0) > 1:
-        if len(steps) == SUBTRACTIVE_STEP_BUDGET:
+        order = sorted(range(len(vals)), key=lambda r: (-abs(vals[r]), r))
+        p, q = order[0], order[1]
+        big, small = abs(vals[p]), abs(vals[q])
+        run = big // small - (big % small == 0 and p > q)
+        count += run
+        if count > SUBTRACTIVE_STEP_BUDGET:
             raise BudgetExceededError(
                 f"subtractive gcd needs more than {SUBTRACTIVE_STEP_BUDGET} steps "
                 "(euclid.SUBTRACTIVE_STEP_BUDGET)"
             )
-        order = sorted(range(len(vals)), key=lambda r: (-abs(vals[r]), r))
-        p, q = order[0], order[1]
-        s = -1 if vals[p] * vals[q] > 0 else 1
-        vals[p] += s * vals[q]
-        steps.append(EuclidStep(p + 1, q + 1, s))
+        m = -run if vals[p] * vals[q] > 0 else run
+        vals[p] += m * vals[q]
+        steps.append(QuotientStep(p + 1, q + 1, m))
     return EuclidTrace(initial, tuple(steps), tuple(vals))
 
 
@@ -101,15 +110,6 @@ def replay_word_on_tuple(w: Word, entries) -> tuple[int, ...]:
     for l in reversed(w.letters):
         vals[l.i - 1] += l.e * vals[l.j - 1]
     return tuple(vals)
-
-
-@dataclass(frozen=True)
-class QuotientStep:
-    """One division move a_target += multiple * a_source, indices 1-based."""
-
-    target: int
-    source: int
-    multiple: int
 
 
 @dataclass(frozen=True)
@@ -127,48 +127,12 @@ class AcceleratedResult:
     quotient_steps: tuple[QuotientStep, ...]
 
 
-def division_steps(vals: list, active) -> list[tuple[int, int, int]]:
-    """Fold the active entries of vals into one carrier by Euclidean division.
-
-    The carrier starts at the first nonzero active position; every later
-    nonzero active position is folded in, and the running gcd ends up at
-    the only nonzero active position.  Mutates vals and returns the moves
-    (target, source, multiple), each vals[target] += multiple * vals[source]
-    with 1-based indices, in temporal order.
-    """
-    steps = []
-    carrier = next(a for a in active if vals[a - 1] != 0)
-    for pos in active:
-        if pos == carrier or vals[pos - 1] == 0:
-            continue
-        a, b = carrier, pos
-        while vals[b - 1] != 0:
-            q = vals[a - 1] // vals[b - 1]
-            if q:
-                vals[a - 1] -= q * vals[b - 1]
-                steps.append((a, b, -q))
-            a, b = b, a
-        carrier = a
-    return steps
-
-
-def aux_index(n: int, k: int, x: int, y: int) -> int:
-    """Auxiliary index for a chunk e(x, y)^m while reducing the trailing k of n.
-
-    With k >= 3 it is the first active index other than x and y, so the
-    chunk only touches the trailing k positions; with k == 2 it is 1, the
-    smallest index outside the active range.
-    """
-    if k >= 3:
-        return next(a for a in range(n - k + 1, n + 1) if a != x and a != y)
-    return 1
-
-
 def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
     """Gcd reduction of the trailing k entries using compressed power words.
 
-    The moves are those of division_steps, each quotient realized as one
-    compress_power chunk whose auxiliary index comes from aux_index.
+    RowReducer.fold folds the active rows of the one-column matrix of the
+    entries; its moves are the quotient steps, and its output, which
+    evaluates to the inverse premultiplier, is inverted into the word.
     """
     vals = [int(x) for x in entries]
     n = len(vals)
@@ -181,12 +145,14 @@ def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
     active = range(n - k + 1, n + 1)
     if all(vals[a - 1] == 0 for a in active):
         raise DomainError("active entries are all zero, gcd undefined")
-    initial = tuple(vals)
-    qsteps = tuple(QuotientStep(*st) for st in division_steps(vals, active))
-    letters: list = []
-    for st in reversed(qsteps):
-        letters += _power_letters(n, st.target, st.source, st.multiple, aux_index(n, k, st.target, st.source))
-    return AcceleratedResult(_word(n, tuple(letters)), initial, tuple(vals), qsteps)
+    red = RowReducer([[v] for v in vals])
+    _, moves = red.fold(1, active)
+    return AcceleratedResult(
+        _word(n, tuple(red.out)).inverse(),
+        tuple(vals),
+        tuple(row[0] for row in red.rows),
+        tuple(QuotientStep(*mv) for mv in moves),
+    )
 
 
 def step_bound(k: int, max_abs: int) -> float:

@@ -11,22 +11,33 @@ compress_power(n, i, j, -q), without building a Word per chunk.  The
 letters are valid by construction, so the caller wraps the output with
 core._word, and check_identity vouches for what they evaluate to.
 Column clearing folds the column into a carrier row by Euclidean division
-(euclid.division_steps, the same moves and auxiliary indices as
-accelerated_reduce) and moves the carrier onto the diagonal with a signed
-swap; upper clearing zeroes the strict upper triangle column by column,
-dividing out each unit pivot; the diagonal endgame sweeps the remaining
-diagonal of units to the identity with the gadget diag(a^-1, a), which
-over Z has a = -1.  Both rings run the same sequence: clear_column for
-each column, clear_upper, clear_diagonal, check_identity.  Over Z/p the
-column entries are lifted residues in [0, p), so the division runs on
-integers and the exponents stay below p, and upper clearing and the
-endgame take their exponents in the least-absolute window (-p/2, p/2].
+(fold, which euclid.accelerated_reduce also runs, on a one-column matrix)
+and moves the carrier onto the diagonal with a signed swap; upper clearing
+zeroes the strict upper triangle column by column, dividing out each unit
+pivot; the diagonal endgame sweeps the remaining diagonal of units to the
+identity with the gadget diag(a^-1, a), which over Z has a = -1.  Both
+rings run the same sequence: clear_column for each column, clear_upper,
+clear_diagonal, check_identity.  Over Z/p the column entries are residues
+in [0, p), so the division runs on integers and the exponents stay below
+p, and upper clearing and the endgame take their exponents in the
+least-absolute window (-p/2, p/2].
 """
 
 from .compression import _power_letters
 from .core import eletter, inverse_mod, least_abs_residue
 from .errors import InternalStateError, UnsupportedDimensionError
-from .euclid import aux_index, division_steps
+
+
+def _aux_index(active: range, x: int, y: int) -> int:
+    """Auxiliary index for a chunk e(x, y)^m while folding the trailing rows in active.
+
+    With three or more active rows it is the first one other than x and y,
+    so the chunk only touches active rows; with two it is 1, the smallest
+    index outside them.
+    """
+    if len(active) >= 3:
+        return next(a for a in active if a != x and a != y)
+    return 1
 
 
 class RowReducer:
@@ -69,6 +80,32 @@ class RowReducer:
         a = eletter(i, j, -1)
         self.out.extend((a, eletter(j, i), a))
 
+    def fold(self, col: int, active: range) -> tuple[int, list[tuple[int, int, int]]]:
+        """Fold column col of the active rows into one carrier row by Euclidean division.
+
+        The carrier starts at the first active row with a nonzero entry;
+        every later such row is folded in, row_a -= q * row_b with q the
+        quotient of their entries, until the running gcd sits in the
+        carrier alone.  Over Z/p the entries are residues in [0, p), so the
+        remainders are the reduced entries.  Returns the carrier and the
+        moves (target, source, multiple), 1-based, in temporal order.
+        """
+        rows, c = self.rows, col - 1
+        moves = []
+        carrier = next(a for a in active if rows[a - 1][c] != 0)
+        for pos in active:
+            if pos == carrier or rows[pos - 1][c] == 0:
+                continue
+            a, b = carrier, pos
+            while rows[b - 1][c] != 0:
+                q = rows[a - 1][c] // rows[b - 1][c]
+                if q:
+                    self.add(a, b, -q, _aux_index(active, a, b))
+                    moves.append((a, b, -q))
+                a, b = b, a
+            carrier = a
+        return carrier, moves
+
     def clear_column(self, col: int) -> None:
         """Zero column col below the diagonal, leaving a unit pivot at (col, col)."""
         n, rows = self.n, self.rows
@@ -79,14 +116,9 @@ class RowReducer:
                 raise InternalStateError(f"pivot at column {d + 1} is {rows[d][d]}, not a unit")
             if any(rows[r][d] != 0 for r in range(d + 1, n)):
                 raise InternalStateError(f"column {d + 1} is not cleared below the diagonal")
-        vals = [row[col - 1] for row in rows]
-        if all(v == 0 for v in vals[col - 1 :]):
+        if all(rows[r][col - 1] == 0 for r in range(col - 1, n)):
             raise InternalStateError(f"column {col} is zero at and below the diagonal")
-        active = range(col, n + 1)
-        k = n - col + 1
-        for a, b, m in division_steps(vals, active):
-            self.add(a, b, m, aux_index(n, k, a, b))
-        carrier = next(r for r in active if vals[r - 1] != 0)
+        carrier, _ = self.fold(col, range(col, n + 1))
         if carrier != col:
             self.swap(col, carrier)
         pivot = rows[col - 1][col - 1]

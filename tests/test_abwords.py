@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cayleynav.abwords import _piece, e1k_ab_word, eij_ab_word, rewrite_word_ab
+from cayleynav.abwords import _piece, eij_ab_word, rewrite_word_ab
 from cayleynav.core import (
     AB,
     Word,
@@ -26,7 +26,7 @@ def random_eword(rng, n, length):
 def test_e1k_word_length_is_exact():
     for n in (3, 4, 7, 12):
         for k in range(2, n + 1):
-            w = e1k_ab_word(k, n)
+            w = eij_ab_word(1, k, n)
             assert eval_word_z(w) == elementary_matrix(n, 1, k)
             if k >= 3:
                 assert len(w) == 8 * k - 16
@@ -76,11 +76,7 @@ def test_pieces_are_reduced_and_invert_by_codes():
 
 def test_word_builders_validate_arguments():
     with pytest.raises(DomainError):
-        e1k_ab_word(1, 4)
-    with pytest.raises(DomainError):
-        e1k_ab_word(5, 4)
-    with pytest.raises(DomainError):
-        e1k_ab_word(2, 1)
+        eij_ab_word(1, 2, 1)
     with pytest.raises(InvalidGeneratorError):
         eij_ab_word(1, 1, 4)
     with pytest.raises(InvalidGeneratorError):

@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from cayleynav.abwords import e1k_ab_word, eij_ab_word
+from cayleynav.abwords import eij_ab_word
 from cayleynav.bfs import bfs_ball_sl2z, bfs_diameter, bfs_distance_map
 from cayleynav.compression import _template, compress_power
 from cayleynav.core import (
@@ -215,7 +215,7 @@ def test_acceptance_09_two_generator_tables():
                 ok = ok and eval_word_z(w) == elementary_matrix(n, i, j)
                 ok = ok and len(w) <= 10 * n
         for k in range(3, n + 1):
-            ok = ok and len(e1k_ab_word(k, n)) == 8 * k - 16
+            ok = ok and len(eij_ab_word(1, k, n)) == 8 * k - 16
     report(
         9,
         "two generator rewriting",

@@ -143,6 +143,13 @@ def test_cli_gcd_pads_pairs(capsys):
     assert out.splitlines()[0] == "subtractive: steps=50 final=(0, 1)"
 
 
+def test_cli_gcd_pads_pairs_in_front(capsys):
+    # the pad goes before the pair, so --active 2 reduces the user's entries
+    rc, out, _ = run(capsys, "gcd", "--active", "2", "--", "3", "4")
+    assert rc == 0
+    assert out.splitlines()[1] == "accelerated: length=4 bound=95.5 final=(0, 0, 1)"
+
+
 def test_cli_zeckendorf(capsys):
     rc, out, _ = run(capsys, "zeckendorf", "100")
     assert rc == 0
@@ -327,6 +334,13 @@ def test_cli_ab_table(capsys):
     lines = out.splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("e(1,2)  len=  1  A")
+
+
+def test_cli_ab_table_rejects_small_dimensions(capsys):
+    for n in ("1", "0", "-2"):
+        rc, out, err = run(capsys, "ab-table", "--", n)
+        assert rc == 3 and out == ""
+        assert err == f"error: dimension must be at least 2, got {n}\n"
 
 
 def test_cli_bfs_diameter(capsys):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleynav.core import Word, abletter, eletter
 from cayleynav import euclid
@@ -9,7 +11,6 @@ from cayleynav.errors import BudgetExceededError, DomainError
 from cayleynav.euclid import (
     DEFAULT_K,
     AcceleratedResult,
-    EuclidStep,
     EuclidTrace,
     QuotientStep,
     accelerated_reduce,
@@ -44,8 +45,13 @@ def test_subtractive_worked_example():
         (0, 4, -4),
         (0, 0, -4),
     ]
-    assert tr.steps[0] == EuclidStep(1, 3, -1)
-    assert tr.steps[-1] == EuclidStep(2, 3, 1)
+    # runs of equal unit moves are recorded once each
+    assert tr.steps == (
+        QuotientStep(1, 3, -2),
+        QuotientStep(3, 1, -1),
+        QuotientStep(1, 2, 1),
+        QuotientStep(2, 3, 2),
+    )
     w = tr.word()
     assert w.tokens() == "e(2,3) e(2,3) e(1,2) e(3,1)^-1 e(1,3)^-1 e(1,3)^-1"
     assert replay_word_on_tuple(w, (-32, 8, -12)) == (0, 0, -4)
@@ -56,6 +62,51 @@ def test_subtractive_one_and_n_takes_n_steps():
         tr = subtractive_gcd((1, n))
         assert tr.step_count == n
         assert sorted(abs(x) for x in tr.final) == [0, 1]
+
+
+def unit_step_reference(entries):
+    """The docstring rule one unit move at a time: tuples and premultiplier tokens."""
+    vals = list(entries)
+    out, letters = [tuple(vals)], []
+    while sum(1 for v in vals if v) > 1:
+        order = sorted(range(len(vals)), key=lambda r: (-abs(vals[r]), r))
+        p, q = order[0], order[1]
+        s = -1 if vals[p] * vals[q] > 0 else 1
+        vals[p] += s * vals[q]
+        out.append(tuple(vals))
+        letters.append(eletter(p + 1, q + 1, s))
+    return out, Word(len(vals), tuple(reversed(letters))).tokens()
+
+
+def tuples_with_ties():
+    # entries drawn from a few magnitudes and signs, so ties are common
+    base = st.lists(st.integers(0, 40), min_size=1, max_size=3)
+    return base.flatmap(
+        lambda mags: st.lists(
+            st.tuples(st.sampled_from(mags), st.sampled_from((1, -1))),
+            min_size=2,
+            max_size=5,
+        )
+    ).map(lambda pairs: tuple(m * s for m, s in pairs)).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuples_with_ties())
+def test_subtractive_runs_match_unit_step_reference(entries):
+    tr = subtractive_gcd(entries)
+    tuples, tokens = unit_step_reference(entries)
+    assert tr.tuples() == tuples
+    assert tr.step_count == len(tuples) - 1
+    assert tr.final == tuples[-1]
+    assert tr.word().tokens() == tokens
+    assert all(step.multiple != 0 for step in tr.steps)
+
+
+def test_subtractive_counts_a_million_steps_in_two_moves():
+    tr = subtractive_gcd((1, 10**6))
+    assert tr.step_count == 10**6
+    assert len(tr.steps) <= 2
+    assert tr.final == (0, 1)
 
 
 def test_subtractive_pair_step_count_matches_quotient_sum():

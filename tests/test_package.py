@@ -1,5 +1,5 @@
 import cayleynav
-from cayleynav import abwords, bfs, compression, core, formats, modp, normalform
+from cayleynav import abwords, bfs, compression, core, euclid, formats, modp, normalform
 
 PUBLIC = {
     # the pipeline: letters, words, matrices, builders, evaluators, oracles
@@ -54,5 +54,9 @@ def test_public_surface():
         (formats, "matrix_from_json"),
         (formats, "matrix_to_json"),
         (formats, "format_matrix_text"),
+        (euclid, "EuclidStep"),
+        (euclid, "division_steps"),
+        (euclid, "aux_index"),
+        (abwords, "e1k_ab_word"),
     ):
         assert not hasattr(module, name), name
