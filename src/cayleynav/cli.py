@@ -3,14 +3,15 @@
 Exit codes: 0 success (for verify: words match), 1 verify mismatch,
 2 malformed input or arguments or an unreadable input file, 3 domain
 errors (wrong determinant, unsupported dimension, bad indices),
-4 exhausted state budgets, 5 any other exception (an internal error,
-reported on one line).
+4 exhausted budgets, 5 any other exception (an internal error,
+reported on one line), 141 stdout closed by its reader (no message).
 Logarithms in reported bounds and ratios are natural.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -363,7 +364,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): stop quietly with the
+        # code a shell reports for SIGPIPE, and point stdout at the null
+        # device so the flush at interpreter exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,23 @@ level, jumping each gap between Zeckendorf indices with one repeated
 (t, s) block; the template carrying the single index k spells
 e(i, j)^F_k in 6 + 8 (k // 2) letters.  A negative exponent gets the
 inverse template laid out directly, t^-2 u^-1 (t s)^n t v^-1 (t s)^n t,
-so no letter is inverted one at a time.  Every template has at least 14
-letters, so |m| <= 14 is spelled plainly without a decomposition, and
-above that only the shorter of the two spellings is built.
+so no letter is inverted one at a time.
+
+The unit of work is a batch, the product of e(i, j)^m_i over several
+targets i with one common source j.  Its factors commute, and the blocks
+touch only rows aux and j, so one template carries every target's
+letters: at each level of the shared walk each target places its own
+carried letter, e(i, j) or e(i, aux), and a target whose exponent has the
+other sign than the first fused one carries the inverse letters.  With n_i half
+the top Zeckendorf index of m_i and r_i its number of summands, the fused
+template costs 4 + 8 max n_i + 2 sum r_i letters, against
+sum (4 + 8 n_i + 2 r_i) for one template per target.  A target whose
+plain spelling is no longer than its own template stays plain, so
+|m| <= 14 never looks at a decomposition (every template has at least 14
+letters), and a batch of one target is the single-power spelling.  aux is
+the first index of a given pool outside the source and the fused targets;
+when the pool has none, the fused targets are split in two halves and
+each half takes a member of the other as aux.
 """
 
 from functools import lru_cache
@@ -46,68 +60,106 @@ def _triple_letters(i: int, aux: int, j: int) -> tuple:
     )
 
 
-def _walk(ks, even, odd, block) -> list:
-    """u of the template for the ascending indices ks, carrying even and odd.
+def _walk(levels, order, top: int, side: int, block) -> list:
+    """One side of the walk from level top down to level 0, joined by block.
 
-    From level ks[-1] // 2 down to level 0, level l carries `even` if 2l is
-    in ks and `odd` if 2l + 1 is (never both: the indices are not
-    consecutive), and two neighbouring levels are joined by `block`.
+    levels maps a level to the (u letters, v letters) it carries, in target
+    order; order lists its levels descending, and side 0 takes the u
+    letters and side 1 the v letters.
     """
     out = []
-    level = ks[-1] // 2
-    for k in reversed(ks):
-        out.extend(block * (level - k // 2))
-        out.append(odd if k & 1 else even)
-        level = k // 2
-    out.extend(block * level)
+    for level in order:
+        out.extend(block * (top - level))
+        out.extend(levels[level][side])
+        top = level
+    out.extend(block * top)
     return out
 
 
-def _template(ks, i: int, aux: int, j: int, inverse: bool = False) -> list:
-    """Template letters for the ascending Fibonacci indices ks, or their inverse.
+def _fused_template(j: int, aux: int, fused) -> list:
+    """One template carrying every (i, ks, m) in fused, with source j.
 
-    With t = e(aux, j), s = e(j, aux) and n = ks[-1] // 2 the template is
-    t^-1 (t s)^-n v t^-1 (t s)^-n u t^2, where u is _walk carrying top and
-    mid and v is u with the carried letters inverted.  The inverse is laid
-    out directly as t^-2 u^-1 (t s)^n t v^-1 (t s)^n t, where u^-1 is the
-    walk carrying top^-1 and mid^-1 joined by (t^-1, s^-1), reversed, and
-    v^-1 the same with top and mid.
+    With t = e(aux, j), s = e(j, aux) and n the largest ks[-1] // 2 the
+    template is t^-1 (t s)^-n v t^-1 (t s)^-n u t^2.  Level l of the walk u
+    carries, for every target with 2l or 2l + 1 in its ks, top or mid
+    raised to the sign of its m, and v carries the same letters inverted.
+    When the first m is negative the inverse layout is used,
+    t^-2 u^-1 (t s)^n t v^-1 (t s)^n t, with u^-1 and v^-1 walked by
+    (t^-1, s^-1) and reversed, and the signs read the other way round, so
+    a one-target template is the inverse of the positive one letter for
+    letter.
     """
-    top, mid, t, s, top_i, mid_i, t_i, s_i = _triple_letters(i, aux, j)
-    half = ks[-1] // 2
+    levels: dict[int, tuple[list, list]] = {}
+    inverse = fused[0][2] < 0
+    for i, ks, m in fused:
+        top, mid, t, s, top_i, mid_i, t_i, s_i = _triple_letters(i, aux, j)
+        if (m > 0) != inverse:
+            carried = ((top, top_i), (mid, mid_i))
+        else:
+            carried = ((top_i, top), (mid_i, mid))
+        for k in ks:
+            u_side, v_side = levels.setdefault(k >> 1, ([], []))
+            u_side.append(carried[k & 1][0])
+            v_side.append(carried[k & 1][1])
+    order = sorted(levels, reverse=True)
+    half = order[0]
     if inverse:
         ts = (t, s) * half
-        u_inv = _walk(ks, top_i, mid_i, (t_i, s_i))
+        u_inv = _walk(levels, order, half, 1, (t_i, s_i))
         u_inv.reverse()
-        v_inv = _walk(ks, top, mid, (t_i, s_i))
+        v_inv = _walk(levels, order, half, 0, (t_i, s_i))
         v_inv.reverse()
         return [t_i, t_i, *u_inv, *ts, t, *v_inv, *ts, t]
     ts_inv = (s_i, t_i) * half
-    v = _walk(ks, top_i, mid_i, (t, s))
-    u = _walk(ks, top, mid, (t, s))
+    v = _walk(levels, order, half, 1, (t, s))
+    u = _walk(levels, order, half, 0, (t, s))
     return [t_i, *ts_inv, *v, t_i, *ts_inv, *u, t, t]
 
 
-def _power_letters(n: int, i: int, j: int, m: int, aux: int | None = None) -> list | tuple:
+def _template(ks, i: int, aux: int, j: int, inverse: bool = False) -> list:
+    """Template letters for the ascending Fibonacci indices ks, or their inverse."""
+    return _fused_template(j, aux, ((i, ks, -1 if inverse else 1),))
+
+
+def _batch_letters(out: list, j: int, powers, pool) -> list:
+    """Append the letters of the product of e(i, j)^m over (i, m) in powers to out.
+
+    The targets i are distinct and differ from j.  Plain targets come
+    first, in order, then the fused template, whose aux is the first index
+    of pool outside j and the fused targets; without one, the fused
+    targets are split into two templates, each using the first target of
+    the other half.  The indices are valid by construction.  Returns out.
+    """
+    fused = []
+    for i, m in powers:
+        mag = abs(m)
+        if mag > _PLAIN_MAX:
+            ks = zeckendorf(mag).indices
+            if mag > 4 + 8 * (ks[-1] >> 1) + 2 * len(ks):
+                fused.append((i, ks, m))
+                continue
+        if mag:
+            out.extend((eletter(i, j, 1 if m > 0 else -1),) * mag)
+    if fused:
+        busy = {i for i, _, _ in fused}
+        aux = next((a for a in pool if a != j and a not in busy), None)
+        if aux is not None:
+            out += _fused_template(j, aux, fused)
+        else:
+            half = len(fused) // 2
+            first, second = fused[:half], fused[half:]
+            out += _fused_template(j, second[0][0], first)
+            out += _fused_template(j, first[0][0], second)
+    return out
+
+
+def _power_letters(n: int, i: int, j: int, m: int, aux: int | None = None) -> list:
     """Letters of compress_power(n, i, j, m, aux), without its argument checks.
 
-    For callers whose indices are valid by construction, such as the row
-    reduction engine.  The plain spelling is chosen before anything is
-    built: always for |m| <= _PLAIN_MAX, and above it whenever |m| does not
-    exceed the template length computed from the Zeckendorf indices.
+    The one-target batch: aux, or by default the smallest index outside
+    {i, j}.
     """
-    if aux is None:
-        if n < 3:
-            raise UnsupportedDimensionError(
-                f"power compression needs dimension >= 3, got {n}"
-            )
-        aux = next(a for a in range(1, n + 1) if a != i and a != j)
-    mag = abs(m)
-    if mag > _PLAIN_MAX:
-        ks = zeckendorf(mag).indices
-        if mag > 4 + 8 * (ks[-1] // 2) + 2 * len(ks):
-            return _template(ks, i, aux, j, inverse=m < 0)
-    return (eletter(i, j, 1 if m > 0 else -1),) * mag
+    return _batch_letters([], j, ((i, m),), range(1, n + 1) if aux is None else (aux,))
 
 
 def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Word:

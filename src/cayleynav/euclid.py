@@ -4,10 +4,11 @@ Two reducers live here.  The subtractive one performs a_p += s * a_q one
 unit multiple at a time and exists mainly for its step statistics; its step
 count on a pair equals the sum of the continued fraction quotients.  It
 records every run of equal unit steps as one QuotientStep, so the count is
-exact at any size.  The accelerated one is rowreduce.RowReducer.fold on
-the one-column matrix of the entries: the division moves and auxiliary
-indices that clear a column of a matrix, each quotient one compressed
-power chunk, so the letter count is logarithmic in the entry size.
+exact at any size; only expanding a trace into unit steps is budgeted.
+The accelerated one is rowreduce.RowReducer.fold on the one-column matrix
+of the entries: the N-ary division rounds that clear a column of a
+matrix, each round one compressed batch with the smallest entry as
+source, so the letter count is logarithmic in the entry size.
 """
 
 import math
@@ -42,8 +43,17 @@ class EuclidTrace:
     def step_count(self) -> int:
         return sum(abs(st.multiple) for st in self.steps)
 
+    def _check_expandable(self) -> None:
+        """Refuse a unit-step expansion longer than SUBTRACTIVE_STEP_BUDGET."""
+        if self.step_count > SUBTRACTIVE_STEP_BUDGET:
+            raise BudgetExceededError(
+                f"subtractive gcd needs more than {SUBTRACTIVE_STEP_BUDGET} steps "
+                "(euclid.SUBTRACTIVE_STEP_BUDGET)"
+            )
+
     def tuples(self) -> list[tuple[int, ...]]:
         """Every intermediate tuple, one per unit move, from initial to final inclusive."""
+        self._check_expandable()
         vals = list(self.initial)
         out = [self.initial]
         for st in self.steps:
@@ -55,6 +65,7 @@ class EuclidTrace:
 
     def word(self) -> Word:
         """Premultiplier word: evaluating it on initial yields final."""
+        self._check_expandable()
         letters = []
         for st in reversed(self.steps):
             letters += (eletter(st.target, st.source, 1 if st.multiple > 0 else -1),) * abs(st.multiple)
@@ -70,10 +81,11 @@ def subtractive_gcd(entries) -> EuclidTrace:
     nonzero entry remains; that entry is the gcd up to sign.  While p stays
     largest q stays second, so the moves come in runs of |a_p| // |a_q|,
     one fewer when |a_q| divides |a_p| and p > q (the tie then goes to q),
-    and each run is one floor division.  The step count on a pair is the
-    sum of its continued fraction quotients, as large as the entries
-    themselves, so a reduction that needs more than SUBTRACTIVE_STEP_BUDGET
-    steps raises BudgetExceededError.
+    and each run is one floor division, so the step count is exact at any
+    size.  On a pair it is the sum of the continued fraction quotients, as
+    large as the entries themselves, so only the unit-step expansions
+    EuclidTrace.tuples and EuclidTrace.word refuse a trace of more than
+    SUBTRACTIVE_STEP_BUDGET steps with BudgetExceededError.
     """
     vals = [int(x) for x in entries]
     if len(vals) < 2:
@@ -82,18 +94,11 @@ def subtractive_gcd(entries) -> EuclidTrace:
         raise DomainError("all entries are zero, gcd undefined")
     initial = tuple(vals)
     steps: list[QuotientStep] = []
-    count = 0
     while sum(1 for v in vals if v != 0) > 1:
         order = sorted(range(len(vals)), key=lambda r: (-abs(vals[r]), r))
         p, q = order[0], order[1]
         big, small = abs(vals[p]), abs(vals[q])
         run = big // small - (big % small == 0 and p > q)
-        count += run
-        if count > SUBTRACTIVE_STEP_BUDGET:
-            raise BudgetExceededError(
-                f"subtractive gcd needs more than {SUBTRACTIVE_STEP_BUDGET} steps "
-                "(euclid.SUBTRACTIVE_STEP_BUDGET)"
-            )
         m = -run if vals[p] * vals[q] > 0 else run
         vals[p] += m * vals[q]
         steps.append(QuotientStep(p + 1, q + 1, m))
@@ -118,7 +123,7 @@ class AcceleratedResult:
 
     word evaluates to the premultiplier taking initial to final;
     quotient_steps lists the same moves in temporal order, one entry per
-    compressed chunk, for O(n) net-effect application.
+    target of each batch, for O(n) net-effect application.
     """
 
     word: Word

@@ -3,9 +3,10 @@
 The integer pipeline carries over through the shared engine
 rowreduce.RowReducer, run over Z/p with the same sequence of steps:
 entries are lifted to residues in [0, p), the lifted columns are
-gcd-reduced with compressed power chunks, above-diagonal entries are
-cleared with exponents taken mod p, so every chunk costs O(log p) letters,
-and the diagonal endgame sweeps the leftover diagonal to the identity.
+gcd-reduced by N-ary rounds of compressed batches, above-diagonal entries
+are cleared one column per batch with exponents taken mod p, so every
+target costs O(log p) letters, and the diagonal endgame sweeps the
+leftover diagonal to the identity.
 The pivots are arbitrary nonzero residues rather than +-1, so each gadget
 diag(a^-1, a) costs O(log p) letters rather than six, and a pivot of 1 is
 skipped.  As in the integer pipeline, the inverse of every premultiplier

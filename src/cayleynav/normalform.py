@@ -94,7 +94,8 @@ class NormalFormResult:
     clearing, though its count comes second.  column_norms lists the sup norm
     before phase one and after each cleared column.  peak_norm is the
     largest |entry| of the working matrix, the input included, after every
-    row operation of every phase; a compressed chunk counts as one operation.
+    row operation of every phase; each target row of a compressed batch
+    counts as one operation.
     """
 
     word: Word

@@ -6,48 +6,45 @@ appends the inverse of its premultiplier to the output word at once, so
 the output read left to right evaluates to the input matrix as soon as
 the working matrix reaches the identity; no letter is inverted later.
 
-The row operation row_i += q * row_j emits the letters of
-compress_power(n, i, j, -q), without building a Word per chunk.  The
-letters are valid by construction, so the caller wraps the output with
-core._word, and check_identity vouches for what they evaluate to.
-Column clearing folds the column into a carrier row by Euclidean division
-(fold, which euclid.accelerated_reduce also runs, on a one-column matrix)
-and moves the carrier onto the diagonal with a signed swap; upper clearing
-zeroes the strict upper triangle column by column, dividing out each unit
-pivot; the diagonal endgame sweeps the remaining diagonal of units to the
-identity with the gadget diag(a^-1, a), which over Z has a = -1.  Both
-rings run the same sequence: clear_column for each column, clear_upper,
-clear_diagonal, check_identity.  Over Z/p the column entries are residues
-in [0, p), so the division runs on integers and the exponents stay below
-p, and upper clearing and the endgame take their exponents in the
-least-absolute window (-p/2, p/2].
+The unit of work is a batch: row_i += q_i * row_j for several targets i
+and one common source j.  Its premultipliers commute, so it emits the
+letters of the product of e(i, j)^-q_i as one fused template
+(compression._batch_letters), without building a Word per batch.  A
+single row operation is a batch of one.  The letters are valid by
+construction, so the caller wraps the output with core._word, and
+check_identity vouches for what they evaluate to.
+
+Column clearing folds the column into a carrier row by N-ary Euclidean
+rounds (fold, which euclid.accelerated_reduce also runs, on a one-column
+matrix): the smallest nonzero entry divides every other one, all in one
+batch, until a single nonzero entry is left, and a signed swap moves the
+carrier onto the diagonal.  Upper clearing zeroes the strict upper
+triangle one column per batch, dividing out each unit pivot; the diagonal
+endgame sweeps the remaining diagonal of units to the identity with the
+gadget diag(a^-1, a), which over Z has a = -1.  A batch takes its aux
+index from a pool: the active rows while folding, when there are three
+or more of them, and every row otherwise, so with two active rows aux is
+row 1.  Both rings run the same sequence: clear_column for each column,
+clear_upper, clear_diagonal, check_identity.  Over Z/p the column entries
+are residues in [0, p), so the division runs on integers and the
+exponents stay below p, and upper clearing and the endgame take their
+exponents in the least-absolute window (-p/2, p/2].
 """
 
-from .compression import _power_letters
+from .compression import _batch_letters
 from .core import eletter, inverse_mod, least_abs_residue
 from .errors import InternalStateError, UnsupportedDimensionError
-
-
-def _aux_index(active: range, x: int, y: int) -> int:
-    """Auxiliary index for a chunk e(x, y)^m while folding the trailing rows in active.
-
-    With three or more active rows it is the first one other than x and y,
-    so the chunk only touches active rows; with two it is 1, the smallest
-    index outside them.
-    """
-    if len(active) >= 3:
-        return next(a for a in active if a != x and a != y)
-    return 1
 
 
 class RowReducer:
     """Working rows, their output word and, over Z, the largest entry met.
 
     peak starts at the sup norm of the input and takes the new row of every
-    row operation into account; a compressed chunk is one operation.
+    row operation into account; a compressed batch is one operation per
+    target row.
     """
 
-    __slots__ = ("n", "p", "rows", "out", "peak")
+    __slots__ = ("n", "p", "rows", "out", "peak", "all_rows")
 
     def __init__(self, rows: list[list[int]], p: int | None = None):
         self.n = len(rows)
@@ -55,19 +52,31 @@ class RowReducer:
         self.rows = rows
         self.out: list = []
         self.peak = max(abs(x) for row in rows for x in row)
+        self.all_rows = range(1, self.n + 1)
 
     def _is_unit(self, v: int) -> bool:
         return v in (1, -1) if self.p is None else v != 0
 
-    def add(self, i: int, j: int, q: int, aux: int | None = None) -> None:
-        """row_i += q * row_j, emitting the letters of compress_power(n, i, j, -q, aux)."""
-        rows, p = self.rows, self.p
-        if p is None:
-            rows[i - 1] = new = [x + q * y for x, y in zip(rows[i - 1], rows[j - 1])]
-            self.peak = max(self.peak, max(map(abs, new)))
-        else:
-            rows[i - 1] = [(x + q * y) % p for x, y in zip(rows[i - 1], rows[j - 1])]
-        self.out.extend(_power_letters(self.n, i, j, -q, aux))
+    def batch(self, j: int, mults, pool) -> None:
+        """row_i += q * row_j for every (i, q) in mults, as one batch.
+
+        The targets i are distinct and differ from j; the fused template
+        takes its aux index from pool.
+        """
+        rows, p, src = self.rows, self.p, self.rows[j - 1]
+        powers = []
+        for i, q in mults:
+            if p is None:
+                rows[i - 1] = new = [x + q * y for x, y in zip(rows[i - 1], src)]
+                self.peak = max(self.peak, max(map(abs, new)))
+            else:
+                rows[i - 1] = [(x + q * y) % p for x, y in zip(rows[i - 1], src)]
+            powers.append((i, -q))
+        _batch_letters(self.out, j, powers, pool)
+
+    def add(self, i: int, j: int, q: int) -> None:
+        """row_i += q * row_j, emitting the letters of compress_power(n, i, j, -q)."""
+        self.batch(j, ((i, q),), self.all_rows)
 
     def swap(self, i: int, j: int) -> None:
         """Row i takes row j and row j the negated row i.
@@ -81,30 +90,29 @@ class RowReducer:
         self.out.extend((a, eletter(j, i), a))
 
     def fold(self, col: int, active: range) -> tuple[int, list[tuple[int, int, int]]]:
-        """Fold column col of the active rows into one carrier row by Euclidean division.
+        """Fold column col of the active rows into one carrier row by N-ary Euclid rounds.
 
-        The carrier starts at the first active row with a nonzero entry;
-        every later such row is folded in, row_a -= q * row_b with q the
-        quotient of their entries, until the running gcd sits in the
-        carrier alone.  Over Z/p the entries are residues in [0, p), so the
-        remainders are the reduced entries.  Returns the carrier and the
-        moves (target, source, multiple), 1-based, in temporal order.
+        Each round takes as source the active row with the smallest nonzero
+        |entry|, the earliest on ties, and divides every other nonzero entry
+        by it with floor division in one batch, row_a -= q * row_source, so
+        every remainder is smaller than the source.  The rounds stop when a
+        single nonzero entry, the gcd up to sign, is left in the carrier.
+        Over Z/p the entries are residues in [0, p), so the remainders are
+        the reduced entries.  Returns the carrier and the moves
+        (target, source, multiple), 1-based, in temporal order.
         """
         rows, c = self.rows, col - 1
+        pool = active if len(active) >= 3 else self.all_rows
         moves = []
-        carrier = next(a for a in active if rows[a - 1][c] != 0)
-        for pos in active:
-            if pos == carrier or rows[pos - 1][c] == 0:
-                continue
-            a, b = carrier, pos
-            while rows[b - 1][c] != 0:
-                q = rows[a - 1][c] // rows[b - 1][c]
-                if q:
-                    self.add(a, b, -q, _aux_index(active, a, b))
-                    moves.append((a, b, -q))
-                a, b = b, a
-            carrier = a
-        return carrier, moves
+        while True:
+            live = [a for a in active if rows[a - 1][c] != 0]
+            source = min(live, key=lambda a: abs(rows[a - 1][c]))
+            if len(live) == 1:
+                return source, moves
+            d = rows[source - 1][c]
+            mults = [(a, -(rows[a - 1][c] // d)) for a in live if a != source]
+            self.batch(source, mults, pool)
+            moves += [(a, source, q) for a, q in mults]
 
     def clear_column(self, col: int) -> None:
         """Zero column col below the diagonal, leaving a unit pivot at (col, col)."""
@@ -132,8 +140,9 @@ class RowReducer:
         return u if self.p is None else inverse_mod(u, self.p)
 
     def clear_upper(self) -> None:
-        """Zero the strict upper triangle, column by column from the left.
+        """Zero the strict upper triangle, one batch per column from the left.
 
+        Column j is one batch with source j, its aux drawn from all rows.
         Every pivot must be a unit; it is divided out of the exponent and
         stays on the diagonal for clear_diagonal.
         """
@@ -143,10 +152,10 @@ class RowReducer:
                 raise InternalStateError("matrix is not upper triangular with unit pivots")
         for j in range(2, n + 1):
             inv = self._inverse(rows[j - 1][j - 1])
-            for i in range(1, j):
-                v = rows[i - 1][j - 1]
-                if v != 0:
-                    self.add(i, j, self._lift(-v * inv))
+            column = [(i, rows[i - 1][j - 1]) for i in range(1, j)]
+            mults = [(i, self._lift(-v * inv)) for i, v in column if v]
+            if mults:
+                self.batch(j, mults, self.all_rows)
 
     def clear_diagonal(self) -> None:
         """Sweep a diagonal of units to the identity, two pivots at a time.

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cayleynav
 from cayleynav.cli import main
 from cayleynav.core import (
     AB,
@@ -308,7 +313,7 @@ def test_cli_fp_report_json(capsys):
     payload = json.loads(out)
     assert payload["mode"] == "exhaustive"
     assert payload["count"] == 168
-    assert payload["max_length"] == 12
+    assert payload["max_length"] == 10
     assert payload["seed"] is None
 
 
@@ -420,9 +425,19 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_cli_gcd_step_budget_exits_4(monkeypatch, capsys):
     monkeypatch.setattr("cayleynav.euclid.SUBTRACTIVE_STEP_BUDGET", 100)
-    rc, out, err = run(capsys, "gcd", "1", "1000")
+    rc, out, err = run(capsys, "gcd", "--trace", "1", "1000")
     assert rc == 4 and out == ""
     assert err == "error: subtractive gcd needs more than 100 steps (euclid.SUBTRACTIVE_STEP_BUDGET)\n"
+    # without --trace nothing is expanded, so the budget does not apply
+    rc, out, _ = run(capsys, "gcd", "1", "1000")
+    assert rc == 0 and out.startswith("subtractive: steps=1000 final=(0, 1)\n")
+
+
+def test_cli_gcd_counts_beyond_the_step_budget(capsys):
+    rc, out, err = run(capsys, "gcd", "1", "1000000000")
+    assert (rc, err) == (0, "")
+    # (1, m) takes exactly m unit steps
+    assert out.splitlines()[0] == "subtractive: steps=1000000000 final=(0, 1)"
 
 
 def test_cli_unreadable_file_is_a_parse_error(tmp_path, capsys):
@@ -485,6 +500,21 @@ def test_cli_internal_error_is_one_line_exit_5(monkeypatch, capsys):
     # typed errors keep their own codes
     rc, _, _ = run(capsys, "compress", "3", "1", "1", "5")
     assert rc == 3
+
+
+def test_cli_closed_stdout_stops_quietly_with_141():
+    # the reader goes away after one line of a long trace, as `| head -n 1`
+    # does: no error line, no message at interpreter exit, the SIGPIPE code
+    src = str(Path(cayleynav.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "cayleynav.cli", "gcd", "--trace", "1", "200000"]
+    for unbuffered in ("1", ""):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"subtractive: steps=200000 final=(0, 1)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_cli_requires_subcommand(capsys):

@@ -1,9 +1,12 @@
+import itertools
 import random
 from functools import reduce
 
 import pytest
 
 from cayleynav.compression import (
+    _batch_letters,
+    _power_letters,
     _template,
     compress_power,
     compress_power_modp,
@@ -195,3 +198,120 @@ def test_compress_power_length_bound_sweep():
     for m in list(range(1, 400)) + [10**6, 10**9, 10**15]:
         w = compress_power(3, 1, 3, m)
         assert len(w) <= zeckendorf_length_bound(m)
+
+
+# ---------------------------------------------------------------- batches
+
+
+def batch_target(n, j, powers):
+    """The product of e(i, j)^m over (i, m) in powers: one column of entries."""
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for i, m in powers:
+        rows[i - 1][j - 1] = m
+    return MatZ.from_rows(rows)
+
+
+def own_template_length(m):
+    """Letters of the one-target template for e(i, j)^m, or 0 for m = 0."""
+    if m == 0:
+        return 0
+    ks = zeckendorf(abs(m)).indices
+    return 4 + 8 * (ks[-1] // 2) + 2 * len(ks)
+
+
+def random_batch(rng, n):
+    j = rng.randrange(1, n + 1)
+    targets = rng.sample([i for i in range(1, n + 1) if i != j], rng.randrange(1, n))
+    powers = []
+    for i in targets:
+        kind = rng.randrange(4)
+        mag = (0, rng.randint(1, 40), rng.randint(0, 10**9), rng.randint(0, 2**61 - 2))[kind]
+        powers.append((i, rng.choice((1, -1)) * mag))
+    return j, powers
+
+
+def test_batch_evaluates_to_the_product_of_its_powers():
+    rng = random.Random("batch")
+    for n in range(4, 9):
+        for _ in range(40):
+            j, powers = random_batch(rng, n)
+            pool = rng.sample(range(1, n + 1), n)
+            letters = _batch_letters([], j, powers, pool)
+            assert eval_word_z(Word(n, tuple(letters))) == batch_target(n, j, powers)
+            # letters touch only the targets, the source and aux
+            targets = {i for i, _ in powers}
+            aux = next((a for a in pool if a != j and a not in targets), j)
+            assert {x for l in letters for x in (l.i, l.j)} <= targets | {j, aux}
+            # plain targets are spelled plainly, and each template carrying
+            # the Zeckendorf indices ks of its targets costs
+            # 4 + 8 max(ks[-1] // 2) + 2 sum(len(ks)); it is one template
+            # unless no row of the pool is free, and then two halves
+            fused = [
+                (i, zeckendorf(abs(m)).indices) for i, m in powers if abs(m) > own_template_length(m)
+            ]
+            cost = sum(abs(m) for _, m in powers if abs(m) <= own_template_length(m))
+            busy = {i for i, _ in fused} | {j}
+            if any(a not in busy for a in pool):
+                halves = [fused]
+            else:
+                halves = [fused[: len(fused) // 2], fused[len(fused) // 2 :]]
+            for half in filter(None, halves):
+                top = max(ks[-1] // 2 for _, ks in half)
+                cost += 4 + 8 * top + 2 * sum(len(ks) for _, ks in half)
+            assert len(letters) == cost
+            assert len(letters) <= sum(len(_power_letters(n, i, j, m)) for i, m in powers)
+
+
+def test_batch_without_a_free_row_splits_in_two():
+    rng = random.Random("batch:split")
+    for n in range(4, 9):
+        for _ in range(10):
+            j = rng.randrange(1, n + 1)
+            targets = [i for i in range(1, n + 1) if i != j]
+            powers = [(i, rng.choice((1, -1)) * rng.randint(10**6, 2**61 - 2)) for i in targets]
+            letters = _batch_letters([], j, powers, range(1, n + 1))
+            assert eval_word_z(Word(n, tuple(letters))) == batch_target(n, j, powers)
+            half = len(targets) // 2
+            first, second = targets[:half], targets[half:]
+            # each half uses the first target of the other half as aux
+            assert letters[0] == eletter(second[0], j, -1)
+            assert {x for l in letters for x in (l.i, l.j)} <= set(targets) | {j}
+
+
+def reference_spelling(n, i, j, m, aux):
+    """Plain or one template, whichever is shorter, spelled from the formula.
+
+    t^-1 (t s)^-n v t^-1 (t s)^-n u t^2, and for a negative exponent its
+    letter-by-letter inverse.
+    """
+    if m == 0:
+        return []
+    plain = [eletter(i, j, 1 if m > 0 else -1)] * abs(m)
+    ks = zeckendorf(abs(m)).indices
+    top, mid, t, s = eletter(i, j), eletter(i, aux), eletter(aux, j), eletter(j, aux)
+
+    def inv(letter):
+        return eletter(letter.i, letter.j, -letter.e)
+
+    def walk(even, odd):
+        out, level = [], ks[-1] // 2
+        for k in reversed(ks):
+            out += [t, s] * (level - k // 2) + [odd if k % 2 else even]
+            level = k // 2
+        return out + [t, s] * level
+
+    ts_inv = [inv(s), inv(t)] * (ks[-1] // 2)
+    word = [inv(t), *ts_inv, *walk(inv(top), inv(mid)), inv(t), *ts_inv, *walk(top, mid), t, t]
+    if m < 0:
+        word = [inv(letter) for letter in reversed(word)]
+    return plain if len(plain) <= len(word) else word
+
+
+def test_one_target_batch_is_the_single_power_spelling():
+    n = 4
+    for i, j, aux in itertools.permutations(range(1, n + 1), 3):
+        for m in range(-2000, 2001):
+            letters = _batch_letters([], j, [(i, m)], (aux,))
+            assert letters == _power_letters(n, i, j, m, aux)
+            if (i, j, aux) == (1, 2, 3) or m % 37 == 0:
+                assert letters == reference_spelling(n, i, j, m, aux)

@@ -163,15 +163,16 @@ def test_replay_word_applies_rightmost_first():
 def test_accelerated_worked_example():
     res = accelerated_reduce((7, -32, 8, -12), 3)
     assert res.initial == (7, -32, 8, -12)
-    assert res.final == (7, 0, -4, 0)
+    assert res.final == (7, 0, 0, 4)
+    # round one: 8 divides -32 and -12 in one batch; round two: 4 divides 8
     assert [(q.target, q.source, q.multiple) for q in res.quotient_steps] == [
         (2, 3, 4),
-        (3, 4, 1),
-        (4, 3, -3),
+        (4, 3, 2),
+        (3, 4, -2),
     ]
     used = {x for l in res.word.letters for x in (l.i, l.j)}
     assert used <= {2, 3, 4}
-    assert replay_word_on_tuple(res.word, (7, -32, 8, -12)) == (7, 0, -4, 0)
+    assert replay_word_on_tuple(res.word, (7, -32, 8, -12)) == (7, 0, 0, 4)
 
 
 def test_accelerated_quotient_steps_replay_independently():
@@ -180,6 +181,32 @@ def test_accelerated_quotient_steps_replay_independently():
     for q in res.quotient_steps:
         vals[q.target - 1] += q.multiple * vals[q.source - 1]
     assert tuple(vals) == res.final
+
+
+def test_accelerated_rounds_divide_by_the_smallest_entry():
+    # N-ary rounds: the smallest nonzero |entry|, earliest on ties, divides
+    # every other nonzero entry with floor division, one move each
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(3, 8)
+        entries = [rng.choice((0, rng.randint(-30, 30), rng.randint(-(10**9), 10**9)))
+                   for _ in range(n)]
+        if not any(entries):
+            continue
+        steps = list(accelerated_reduce(entries).quotient_steps)
+        vals = list(entries)
+        while True:
+            live = [a for a in range(1, n + 1) if vals[a - 1]]
+            if len(live) == 1:
+                break
+            source = min(live, key=lambda a: abs(vals[a - 1]))
+            d = vals[source - 1]
+            expected = [(a, source, -(vals[a - 1] // d)) for a in live if a != source]
+            got, steps = steps[: len(expected)], steps[len(expected) :]
+            assert [(q.target, q.source, q.multiple) for q in got] == expected
+            for target, _, multiple in expected:
+                vals[target - 1] += multiple * vals[source - 1]
+        assert steps == []
 
 
 def test_accelerated_k2_uses_outside_helper_row():
@@ -251,12 +278,21 @@ def test_accelerated_input_validation():
 def test_subtractive_step_budget(monkeypatch):
     assert euclid.SUBTRACTIVE_STEP_BUDGET == 1_000_000
     monkeypatch.setattr(euclid, "SUBTRACTIVE_STEP_BUDGET", 100)
-    # (1, m) takes exactly m unit steps: 100 fit the budget, 101 do not
-    assert subtractive_gcd((1, 100)).step_count == 100
+    # (1, m) takes exactly m unit steps: 100 fit the budget, 101 do not;
+    # the budget guards only the unit-step expansions, never the count
+    tr = subtractive_gcd((1, 100))
+    assert tr.step_count == 100
+    assert len(tr.tuples()) == 101 and len(tr.word()) == 100
+    tr = subtractive_gcd((1, 101))
+    assert tr.step_count == 101
     with pytest.raises(BudgetExceededError, match="more than 100 steps"):
-        subtractive_gcd((1, 101))
+        tr.tuples()
+    with pytest.raises(BudgetExceededError, match="more than 100 steps"):
+        tr.word()
     with pytest.raises(BudgetExceededError):
-        subtractive_gcd((3, 1000, 7))
+        subtractive_gcd((3, 1000, 7)).tuples()
+    # a count far beyond the budget is still exact
+    assert subtractive_gcd((1, 10**9)).step_count == 10**9
 
 
 def test_step_bound_values_and_guards():

@@ -51,28 +51,28 @@ def unimodular_corpus(n: int):
 
 GOLDEN_Z = {
     3: (
-        "3002df4e59fd9356d3abed5582d0eaf1a0508cc71afeff0b8d5b54e497916f40",
+        "0fa2b0bd31a905c05db12b1ee6660483cc522fd5153e00a06695efced21a36fe",
         "c8a24a20cd9d440683e33c4f88b2b96524c1e5c3b9cb88ea9b3db56875d927e3",
     ),
     4: (
-        "2e35a96d189c595b41d0c40fc03649d984a10f6133087d70d9129c4d49c6fc2d",
-        "4eee6b419dcb5c4265a8d473e399841075abb403afa237fe10738b860bcc3bcc",
+        "397d950b5407a155c0f6941bb9c45ba0057f596de15d15b7c6c719e918cb18a6",
+        "f6f1758237d50ec92f9c9f2fe2e0087f3eaadf440123862b4b67cf7e24fb1808",
     ),
     5: (
-        "8974909821af30996bbe0e7e702daa3c071503ec36a6f29684b3eecef63de60d",
-        "509d4a25ff811bc50cf9f9d8e50f1df0e18bc8307030e9a33dbcf0c1ce7dcfd3",
+        "6db3a6be5e51a3717e92e6798a6408d36659dea36272461f5be672f9ba774c8c",
+        "83dae3fa29bcb17fc1619dedcdf79c142eb2f6dbdeb021a431bb14cb47ac6453",
     ),
     6: (
-        "5d44bfa932134416b6d727b59ebb6899b878be63a4d1808ca73fe3bdf321a805",
-        "91236d7680a915a42ee674ae8515003660737f97b4b5225a92253ff0a2684931",
+        "285c8005a0cb9d105ab6c7e50e60346be7f0eac5282bc266dcf7ffe106686acc",
+        "3b2c779ef654aa9a3db0b3f158540663ef38db1514837f1da0b156cc6f8fdd2c",
     ),
     7: (
-        "48a6e2b2166386130cd5b2f7d4de31a5b9802bf2ea708db22ea41ff420a576f8",
-        "c417537506faca92e08d879bbcf7b9e664cb24735d4655a2320de48c4bea17e4",
+        "7980f742b1236568fa7e9a47b2f02e196a5c30553034093f1818911ea1331aa6",
+        "4d367d4cc7d1025509116d61a30ef1bcb41f0875136aca8a0a6c6b9a277186b3",
     ),
     8: (
-        "5105528a8a7ddca822ee1f35e13085ed815a4d9e51bbcb6c04a985edc345e409",
-        "e66ec6f49794dc6a97c763c2f5478eed8aa3735326ea5949b5702eec76b09947",
+        "c12aa5ffc6af83b7a910cb1e1464e7ce618fe57d4252def89519bedd1b657416",
+        "4b1c6577b2d0f36ba38ba26dfa688ad8d2360326e941ad96e36203570d2a9568",
     ),
 }
 
@@ -98,7 +98,7 @@ def test_golden_normal_form_words(n):
     assert (digest(words), digest(diags)) == GOLDEN_Z[n]
 
 
-GOLDEN_SL3_F2 = "bbdf1c3c2fc9398e9b2485ef573828e05280da8dc7ed18ffaa0e2a95beea73ac"
+GOLDEN_SL3_F2 = "c4f81f26cd565410053e4b0e86de231a3d58428f9c17f316fb2d676abb593091"
 
 
 def test_golden_word_for_modp_all_of_sl3_f2():
@@ -112,10 +112,10 @@ def test_golden_word_for_modp_all_of_sl3_f2():
 
 
 GOLDEN_FP = {
-    (3, 101): "b0e7582f26e77a8ca927f7c7be498bff5f8ca234110dc9926d8ac807efc6fb90",
-    (4, 10007): "ccc7301233af40f0a8910a15ce5d10c27d9249fe7101494ca9cb984cc6f4621a",
-    (5, 2**31 - 1): "1778b379c765fc6da5a83a2ab55bbb14183e9332918dec75993e04566a3b2980",
-    (6, 2**61 - 1): "5fc536e5f004a13624fa2d80ed13d092336688a20c298cba1bf82a0f199f0ca8",
+    (3, 101): "57041a3e2829253008bb1681e9e6129dbc8d36913a3663eefe3ee499a61b5a97",
+    (4, 10007): "bf94b0af54d2df22d0db73c773968f7e0680369d85679af452a7094fb3eeba89",
+    (5, 2**31 - 1): "e6966a51f56cf5fb52ced6fa0e2e3f79b361b9076a56ba993f15f698a6575e89",
+    (6, 2**61 - 1): "48df26c29e51ded495a942b0a14256ed55f81dc407c3ec4fecd130090890fcfe",
 }
 
 
@@ -180,7 +180,7 @@ def accelerated_corpus():
     return cases
 
 
-GOLDEN_ACCELERATED = "17b1efefc75604a9a853bba2d60f3d19d5b97d729b7222d98b8928990025c779"
+GOLDEN_ACCELERATED = "fe5058dd3e7ef994611655cc8c5c2c3fd726753d22474b5778786031d646a70d"
 
 
 def test_golden_accelerated_reduce():

@@ -211,9 +211,9 @@ def test_report_exhaustive_sl3_f2():
     assert rep.mode == "exhaustive"
     assert rep.order == 168
     assert rep.count == 168
-    assert rep.max_length == 12
-    assert rep.mean_length == pytest.approx(7.119047619047619)
-    assert rep.normalized_max == pytest.approx(1.9235933878519513)
+    assert rep.max_length == 10
+    assert rep.mean_length == pytest.approx(4.833333333333333)
+    assert rep.normalized_max == pytest.approx(1.602994489876626)
     assert rep.seed is None
     assert rep.bound == pytest.approx(74.8598955004741)
 
