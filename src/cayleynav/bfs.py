@@ -202,12 +202,14 @@ def bfs_diameter(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = DEFAU
     return DiameterReport(n, p, alphabet, sum(hist.values()), len(levels) - 1, hist)
 
 
-def bfs_ball_sl2z(radius: int, budget: int = DEFAULT_BUDGET) -> dict:
+def bfs_ball_sl2z(radius: int) -> dict:
     """Distances for the SL_2(Z) ball over e(1,2), e(2,1) and inverses.
 
     Returns flat 4-tuple keys mapped to exact distances up to the given
-    radius.  The group is infinite, so the radius is capped; every state
-    is also checked against the Fibonacci norm bound sup <= F_(d+1).
+    radius.  The group is infinite, so the radius is capped at
+    SL2_RADIUS_LIMIT, which keeps the ball far below DEFAULT_BUDGET states
+    (radius 13 has 73 708); every state is also checked against the
+    Fibonacci norm bound sup <= F_(d+1).
     """
     if radius < 0:
         raise DomainError(f"radius must be non-negative, got {radius}")
@@ -233,8 +235,8 @@ def bfs_ball_sl2z(radius: int, budget: int = DEFAULT_BUDGET) -> dict:
                         )
                     dist[k2] = d
                     nxt.append(k2)
-        if len(dist) > budget:
-            raise BudgetExceededError(f"ball exceeded the budget of {budget} states")
+        if len(dist) > DEFAULT_BUDGET:
+            raise BudgetExceededError(f"ball exceeded the budget of {DEFAULT_BUDGET} states")
         frontier = nxt
     return dist
 

@@ -19,15 +19,7 @@ from dataclasses import asdict
 from .abwords import eij_ab_word, rewrite_word_ab
 from .bfs import DEFAULT_BUDGET, bfs_ball_sl2z, bfs_diameter
 from .compression import compress_power, compress_power_modp
-from .core import (
-    AB,
-    ELEMENTARY,
-    MatFp,
-    MatZ,
-    eval_word_fp,
-    eval_word_z,
-    sup_norm,
-)
+from .core import MatFp, MatZ, eval_word_fp, eval_word_z, least_abs_residue, sup_norm
 from .errors import BudgetExceededError, CayleyNavError, DomainError, ParseError
 from .euclid import DEFAULT_K, accelerated_reduce, step_bound, subtractive_gcd
 from .fibonacci import zeckendorf, zeckendorf_length_bound
@@ -52,19 +44,32 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {reason}") from exc
 
 
+def _read_matrix(text: str, kind: type) -> MatZ | MatFp:
+    """Parse matrix text, refusing a matrix that is not of kind, MatZ or MatFp."""
+    m = parse_matrix_text(text)
+    if not isinstance(m, kind):
+        raise ParseError(
+            "expected a mod-p matrix: header must be 'n p'" if kind is MatFp
+            else "expected an integer matrix: header must be just the dimension"
+        )
+    return m
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
 
 
 def cmd_compress(args) -> int:
+    m = args.m
     if args.modp is not None:
-        w = compress_power_modp(args.n, args.i, args.j, args.m, args.modp, args.aux)
+        w = compress_power_modp(args.n, args.i, args.j, m, args.modp, args.aux)
+        m = least_abs_residue(m, args.modp)
     else:
-        w = compress_power(args.n, args.i, args.j, args.m, args.aux)
-    bound = zeckendorf_length_bound(abs(args.m)) if args.m else 0.0
+        w = compress_power(args.n, args.i, args.j, m, args.aux)
+    bound = zeckendorf_length_bound(abs(m)) if m else 0.0
     payload = {"length": len(w), "bound": bound, "word": word_to_json(w)}
     _emit(args, payload, format_word_text(w))
     return 0
@@ -82,11 +87,12 @@ def cmd_zeckendorf(args) -> int:
 def cmd_gcd(args) -> int:
     entries = tuple(args.entries)
     trace = subtractive_gcd(entries)
-    padded = entries if len(entries) >= 3 else (0,) + entries
-    res = accelerated_reduce(padded, args.active)
-    k_eff = args.active if args.active is not None else len(padded)
-    max_abs = max(abs(x) for x in padded)
-    bound = step_bound(k_eff, max_abs)
+    k = len(entries) if args.active is None else args.active
+    if not 2 <= k <= len(entries):
+        raise DomainError(f"active length must lie in 2..{len(entries)}, got {k}")
+    # a pair gets a zero pad in front, which is the aux row of its reduction
+    res = accelerated_reduce(entries if len(entries) >= 3 else (0,) + entries, k)
+    bound = step_bound(k, max(abs(x) for x in entries))
     payload = {
         "entries": list(entries),
         "subtractive": {"steps": trace.step_count, "final": list(trace.final)},
@@ -102,64 +108,47 @@ def cmd_gcd(args) -> int:
         f"subtractive: steps={trace.step_count} final={trace.final}",
         f"accelerated: length={len(res.word)} bound={bound:.1f} final={res.final}",
     ]
-    if args.trace:
+    if args.trace and args.json:
+        payload["subtractive"]["trace"] = trace.tuples()
+    elif args.trace:
         lines.append("subtractive trace:")
         lines.extend(f"  {t}" for t in trace.tuples())
         lines.append("quotient steps:")
         lines.extend(
             f"  row {st.target} += {st.multiple} * row {st.source}" for st in res.quotient_steps
         )
-        payload["subtractive"]["trace"] = [list(t) for t in trace.tuples()]
     _emit(args, payload, "\n".join(lines))
     return 0
 
 
-def _require_integer_matrix(m) -> MatZ:
-    if isinstance(m, MatFp):
-        raise ParseError("expected an integer matrix: header must be just the dimension")
-    return m
-
-
-def _require_modp_matrix(m) -> MatFp:
-    if not isinstance(m, MatFp):
-        raise ParseError("expected a mod-p matrix: header must be 'n p'")
-    return m
+def _normal_form(m: MatZ):
+    """normal_form_result(m) and the record fields both normal-form modes report."""
+    res = normal_form_result(m)
+    fields = {
+        "length": len(res.word),
+        "phase_lengths": list(res.phase_lengths),
+        "peak_norm": res.peak_norm,
+        "peak_bits": res.peak_norm.bit_length(),
+    }
+    return res, fields
 
 
 def cmd_normal_form(args) -> int:
     text = _read_text(args.path)
     if not args.stats:
-        m = _require_integer_matrix(parse_matrix_text(text))
-        res = normal_form_result(m)
-        payload = {
-            "length": len(res.word),
-            "phase_lengths": list(res.phase_lengths),
-            "column_norms": list(res.column_norms),
-            "peak_norm": res.peak_norm,
-            "peak_bits": res.peak_norm.bit_length(),
-            "word": word_to_json(res.word),
-        }
+        res, payload = _normal_form(_read_matrix(text, MatZ))
+        payload.update(column_norms=list(res.column_norms), word=word_to_json(res.word))
         _emit(args, payload, format_word_text(res.word))
         return 0
     blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
     rows = []
     lines = []
     for block in blocks:
-        m = _require_integer_matrix(parse_matrix_text(block))
-        res = normal_form_result(m)
+        m = _read_matrix(block, MatZ)
+        res, row = _normal_form(m)
         norm = sup_norm(m)
         ratio = len(res.word) / math.log(norm) if norm >= 2 else None
-        rows.append(
-            {
-                "n": m.n,
-                "norm": norm,
-                "peak_norm": res.peak_norm,
-                "peak_bits": res.peak_norm.bit_length(),
-                "length": len(res.word),
-                "phase_lengths": list(res.phase_lengths),
-                "ratio": ratio,
-            }
-        )
+        rows.append(dict(row, n=m.n, norm=norm, ratio=ratio))
         a, b, c = res.phase_lengths
         shown = f"{ratio:.1f}" if ratio is not None else "-"
         lines.append(
@@ -171,7 +160,7 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_reduce_modp(args) -> int:
-    m = _require_modp_matrix(parse_matrix_text(_read_text(args.path)))
+    m = _read_matrix(_read_text(args.path), MatFp)
     w = word_for_modp(m)
     payload = {"length": len(w), "p": m.p, "word": word_to_json(w)}
     _emit(args, payload, format_word_text(w))
@@ -187,16 +176,14 @@ def cmd_fp_report(args) -> int:
         seed=args.seed,
         budget=args.budget,
     )
-    if args.json:
-        print(json.dumps(asdict(report), indent=2, sort_keys=True))
-        return 0
-    print("n,p,order,mode,count,max_length,mean_length,normalized_max,bound,c_const,seed")
     seed = "" if report.seed is None else report.seed
-    print(
+    text = (
+        "n,p,order,mode,count,max_length,mean_length,normalized_max,bound,c_const,seed\n"
         f"{report.n},{report.p},{report.order},{report.mode},{report.count},"
         f"{report.max_length},{report.mean_length:.3f},{report.normalized_max:.3f},"
         f"{report.bound:.3f},{report.c_const},{seed}"
     )
+    _emit(args, asdict(report), text)
     return 0
 
 
@@ -226,8 +213,7 @@ def cmd_ab_table(args) -> int:
 
 
 def cmd_bfs_diameter(args) -> int:
-    alphabet = ELEMENTARY if args.alphabet == "elementary" else AB
-    rep = bfs_diameter(args.n, args.p, alphabet, args.budget)
+    rep = bfs_diameter(args.n, args.p, args.alphabet, args.budget)
     payload = asdict(rep)
     hist = " ".join(f"{d}:{c}" for d, c in sorted(rep.histogram.items()))
     text = (
@@ -291,30 +277,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("m", type=int)
     s.add_argument("--aux", type=int, default=None, help="auxiliary index (default: smallest free)")
     s.add_argument("--modp", type=int, default=None, metavar="P", help="reduce the exponent mod the prime P")
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_compress)
 
     s = sub.add_parser("zeckendorf", help="Fibonacci decomposition of a positive integer")
     s.add_argument("m", type=int)
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_zeckendorf)
 
     s = sub.add_parser("gcd", help="reduce an integer tuple by row operations")
     s.add_argument("entries", type=int, nargs="+")
     s.add_argument("--active", type=int, default=None, help="reduce only the trailing k entries")
     s.add_argument("--trace", action="store_true")
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_gcd)
 
     s = sub.add_parser("normal-form", help="word for an integer matrix with determinant 1")
     s.add_argument("path", nargs="?", default="-", help="matrix file, '-' for stdin")
     s.add_argument("--stats", action="store_true", help="summarize blank-line-separated matrices")
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_normal_form)
 
     s = sub.add_parser("reduce-modp", help="word for a matrix over F_p with determinant 1")
     s.add_argument("path", nargs="?", default="-", help="matrix file with 'n p' header, '-' for stdin")
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_reduce_modp)
 
     s = sub.add_parser("fp-report", help="word length statistics over SL_n(F_p), CSV by default")
@@ -324,18 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--exhaustive", action="store_true")
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_fp_report)
 
     s = sub.add_parser("rewrite-ab", help="rewrite an elementary word over A and B")
     s.add_argument("n", type=int)
     s.add_argument("tokens", nargs="*", help="word tokens; stdin when omitted")
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_rewrite_ab)
 
     s = sub.add_parser("ab-table", help="A,B words for every elementary generator")
     s.add_argument("n", type=int)
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_ab_table)
 
     s = sub.add_parser("bfs-diameter", help="exact Cayley diameter of SL_n(F_p) by search")
@@ -343,12 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("p", type=int)
     s.add_argument("--alphabet", choices=["elementary", "ab"], default="elementary")
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_bfs_diameter)
 
     s = sub.add_parser("sl2-lowerbound", help="exact SL_2(Z) distances of e(2,1)^k")
     s.add_argument("radius", type=int)
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_sl2_lowerbound)
 
     s = sub.add_parser("verify", help="check that a word evaluates to a matrix")
@@ -357,6 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("tokens", nargs="*", help="word tokens when no --word is given")
     s.set_defaults(func=cmd_verify)
 
+    # added last, so --json follows each subcommand's own options in its usage line
+    for name, s in sub.choices.items():
+        if name != "verify":
+            s.add_argument("--json", action="store_true")
     return parser
 
 

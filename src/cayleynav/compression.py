@@ -27,7 +27,7 @@ template costs 4 + 8 max n_i + 2 sum r_i letters, against
 sum (4 + 8 n_i + 2 r_i) for one template per target.  A target whose
 plain spelling is no longer than its own template stays plain, so
 |m| <= 14 never looks at a decomposition (every template has at least 14
-letters), and a batch of one target is the single-power spelling.  aux is
+letters), and compress_power spells a batch of one target.  aux is
 the first index of a given pool outside the source and the fused targets;
 when the pool has none, the fused targets are split in two halves and
 each half takes a member of the other as aux.
@@ -116,11 +116,6 @@ def _fused_template(j: int, aux: int, fused) -> list:
     return [t_i, *ts_inv, *v, t_i, *ts_inv, *u, t, t]
 
 
-def _template(ks, i: int, aux: int, j: int, inverse: bool = False) -> list:
-    """Template letters for the ascending Fibonacci indices ks, or their inverse."""
-    return _fused_template(j, aux, ((i, ks, -1 if inverse else 1),))
-
-
 def _batch_letters(out: list, j: int, powers, pool) -> list:
     """Append the letters of the product of e(i, j)^m over (i, m) in powers to out.
 
@@ -153,15 +148,6 @@ def _batch_letters(out: list, j: int, powers, pool) -> list:
     return out
 
 
-def _power_letters(n: int, i: int, j: int, m: int, aux: int | None = None) -> list:
-    """Letters of compress_power(n, i, j, m, aux), without its argument checks.
-
-    The one-target batch: aux, or by default the smallest index outside
-    {i, j}.
-    """
-    return _batch_letters([], j, ((i, m),), range(1, n + 1) if aux is None else (aux,))
-
-
 def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Word:
     """Word of length at most 4 + 6 log_tau(1 + |m| sqrt 5) equal to e(i, j)^m.
 
@@ -180,7 +166,8 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
         raise InvalidGeneratorError(
             f"auxiliary index {aux} must lie in 1..{n} outside {{{i},{j}}}"
         )
-    return _word(n, tuple(_power_letters(n, i, j, m, aux)))
+    pool = range(1, n + 1) if aux is None else (aux,)
+    return _word(n, tuple(_batch_letters([], j, ((i, m),), pool)))
 
 
 def compress_power_modp(n: int, i: int, j: int, m: int, p: int, aux: int | None = None) -> Word:

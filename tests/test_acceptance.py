@@ -11,7 +11,7 @@ import time
 
 from cayleynav.abwords import eij_ab_word
 from cayleynav.bfs import bfs_ball_sl2z, bfs_diameter, bfs_distance_map
-from cayleynav.compression import _template, compress_power
+from cayleynav.compression import _fused_template, compress_power
 from cayleynav.core import (
     MatFp,
     MatZ,
@@ -71,7 +71,7 @@ def test_acceptance_01_power_words_are_correct_and_short():
 
 def fib_template(k):
     """The template carrying the single Fibonacci index k: e(1,3)^F_k in dimension 3."""
-    return Word(3, tuple(_template((k,), 1, 2, 3)))
+    return Word(3, tuple(_fused_template(3, 2, ((1, (k,), 1),))))
 
 
 def test_acceptance_02_fibonacci_template_exactness():

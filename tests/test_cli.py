@@ -19,8 +19,10 @@ from cayleynav.core import (
     eletter,
     eval_word_fp,
     eval_word_z,
+    least_abs_residue,
 )
 from cayleynav.errors import DomainError, ParseError
+from cayleynav.fibonacci import zeckendorf_length_bound
 from cayleynav.formats import format_word_text, parse_matrix_text, parse_word_text, word_to_json
 
 PERM = MatZ.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
@@ -129,6 +131,11 @@ def test_cli_gcd_trace(capsys):
     assert "subtractive trace:" in out
     assert "  (-20, 8, -12)" in out
     assert "quotient steps:" in out
+    rc, out, _ = run(capsys, "gcd", "--trace", "--json", "--", "-32", "8", "-12")
+    assert rc == 0
+    subtractive = json.loads(out)["subtractive"]
+    assert subtractive["trace"][:2] == [[-32, 8, -12], [-20, 8, -12]]
+    assert len(subtractive["trace"]) == subtractive["steps"] + 1
 
 
 def test_cli_gcd_json(capsys):
@@ -153,6 +160,21 @@ def test_cli_gcd_pads_pairs_in_front(capsys):
     rc, out, _ = run(capsys, "gcd", "--active", "2", "--", "3", "4")
     assert rc == 0
     assert out.splitlines()[1] == "accelerated: length=4 bound=95.5 final=(0, 0, 1)"
+
+
+def test_cli_gcd_active_length_counts_the_entries_given(capsys):
+    # the pad is not an entry: k defaults to the two entries given, and the
+    # pair's bound and word are those of --active 2
+    rc, out, _ = run(capsys, "gcd", "3", "4")
+    assert rc == 0
+    assert out == run(capsys, "gcd", "--active", "2", "3", "4")[1]
+    assert out.splitlines()[1] == "accelerated: length=4 bound=95.5 final=(0, 0, 1)"
+    for k in ("3", "1"):
+        rc, out, err = run(capsys, "gcd", "--active", k, "3", "4")
+        assert (rc, out) == (3, "")
+        assert err == f"error: active length must lie in 2..2, got {k}\n"
+    rc, _, err = run(capsys, "gcd", "--active", "4", "12", "8", "30")
+    assert (rc, err) == (3, "error: active length must lie in 2..3, got 4\n")
 
 
 def test_cli_zeckendorf(capsys):
@@ -196,6 +218,19 @@ def test_cli_compress_modp(capsys):
     rc, out, _ = run(capsys, "compress", "3", "1", "2", "100", "--modp", "101")
     assert rc == 0
     assert out.strip() == "e(1,2)^-1"
+
+
+def test_cli_compress_modp_bound_is_that_of_the_residue(capsys):
+    # the bound belongs to the exponent spelled: the residue in (-p/2, p/2]
+    for m, p, residue in ((707, 101, 0), (100, 101, -1), (10007 * 10**20 - 3000, 10007, -3000)):
+        assert least_abs_residue(m, p) == residue
+        rc, out, _ = run(capsys, "compress", "3", "1", "2", str(m), "--modp", str(p), "--json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["bound"] == (zeckendorf_length_bound(abs(residue)) if residue else 0.0)
+        assert payload["length"] <= payload["bound"]
+        target = MatFp.from_rows([[1, m % p, 0], [0, 1, 0], [0, 0, 1]], p)
+        assert eval_word_fp(word_of(payload["word"]), p) == target
 
 
 def test_cli_normal_form_file(tmp_path, capsys):
@@ -369,6 +404,29 @@ def test_cli_sl2_lowerbound(capsys):
     assert "d(e(2,1)^3) = 3" in out
     assert "d(e(2,1)^4) = 4" in out
     assert out.splitlines()[-1].startswith("distance grows linearly")
+
+
+# every subcommand that takes --json, with a small valid input
+JSON_CASES = [
+    (["compress", "3", "1", "3", "100"], None),
+    (["zeckendorf", "100"], None),
+    (["gcd", "12", "8", "30"], None),
+    (["normal-form", "-"], matrix_text(PERM)),
+    (["reduce-modp", "-"], "3 7\n1 1 0\n0 1 0\n0 0 1\n"),
+    (["fp-report", "3", "5", "--samples", "5"], None),
+    (["rewrite-ab", "3", "e(1,3)", "e(2,1)^-1"], None),
+    (["ab-table", "3"], None),
+    (["bfs-diameter", "2", "3"], None),
+    (["sl2-lowerbound", "4"], None),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", JSON_CASES, ids=[argv[0] for argv, _ in JSON_CASES])
+def test_cli_json_prints_one_object(monkeypatch, capsys, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    rc, out, err = run(capsys, *argv, "--json")
+    assert (rc, err) == (0, "")
+    assert isinstance(json.loads(out), dict)
 
 
 def test_cli_verify_match(tmp_path, capsys):

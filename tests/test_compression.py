@@ -6,8 +6,7 @@ import pytest
 
 from cayleynav.compression import (
     _batch_letters,
-    _power_letters,
-    _template,
+    _fused_template,
     compress_power,
     compress_power_modp,
 )
@@ -45,7 +44,7 @@ def target(n, i, j, m):
 
 def fib_template(k):
     """The template carrying the single Fibonacci index k: e(1,3)^F_k in dimension 3."""
-    return Word(3, tuple(_template((k,), 1, 2, 3)))
+    return Word(3, tuple(_fused_template(3, 2, ((1, (k,), 1),))))
 
 
 def test_fib_power_word_zero_blocks():
@@ -70,7 +69,7 @@ def test_fib_power_word_hits_fibonacci_exponents():
 
 def zeckendorf_power_word(m):
     """The full template for e(1,3)^m in dimension 3, m >= 1, never spelled plainly."""
-    return Word(3, tuple(_template(zeckendorf(m).indices, 1, 2, 3)))
+    return Word(3, tuple(_fused_template(3, 2, ((1, zeckendorf(m).indices, 1),))))
 
 
 def test_zeckendorf_power_word_single_fibonacci():
@@ -259,7 +258,7 @@ def test_batch_evaluates_to_the_product_of_its_powers():
                 top = max(ks[-1] // 2 for _, ks in half)
                 cost += 4 + 8 * top + 2 * sum(len(ks) for _, ks in half)
             assert len(letters) == cost
-            assert len(letters) <= sum(len(_power_letters(n, i, j, m)) for i, m in powers)
+            assert len(letters) <= sum(len(compress_power(n, i, j, m)) for i, m in powers)
 
 
 def test_batch_without_a_free_row_splits_in_two():
@@ -312,6 +311,6 @@ def test_one_target_batch_is_the_single_power_spelling():
     for i, j, aux in itertools.permutations(range(1, n + 1), 3):
         for m in range(-2000, 2001):
             letters = _batch_letters([], j, [(i, m)], (aux,))
-            assert letters == _power_letters(n, i, j, m, aux)
+            assert tuple(letters) == compress_power(n, i, j, m, aux).letters
             if (i, j, aux) == (1, 2, 3) or m % 37 == 0:
                 assert letters == reference_spelling(n, i, j, m, aux)

@@ -14,7 +14,7 @@ import pytest
 
 from cayleynav.abwords import rewrite_word_ab
 from cayleynav.bfs import bfs_diameter, bfs_distance_map
-from cayleynav.compression import _template, compress_power
+from cayleynav.compression import _fused_template, compress_power
 from cayleynav.core import AB, ELEMENTARY, MatFp, MatZ, Word, determinant_fp, eletter
 from cayleynav.euclid import accelerated_reduce
 from cayleynav.modp import random_sl_fp, word_for_modp
@@ -157,7 +157,7 @@ def test_golden_compress_power():
     words = (compress_power(*case).tokens() for case in compress_power_spread())
     assert digest(words) == GOLDEN_COMPRESS_POWER
     # the single-index templates for F_0 .. F_81, in index order
-    words = (Word(3, tuple(_template((k,), 1, 2, 3))).tokens() for k in range(82))
+    words = (Word(3, tuple(_fused_template(3, 2, ((1, (k,), 1),)))).tokens() for k in range(82))
     assert digest(words) == GOLDEN_FIB_POWER
 
 

@@ -58,5 +58,7 @@ def test_public_surface():
         (euclid, "division_steps"),
         (euclid, "aux_index"),
         (abwords, "e1k_ab_word"),
+        (compression, "_template"),
+        (compression, "_power_letters"),
     ):
         assert not hasattr(module, name), name
