@@ -15,10 +15,14 @@ some entry below the diagonal is nonzero.  The rows span Z^N, so the
 reduced rows are short (in practice a signed permutation) and the phases
 that follow see small entries, while the entries met during the reduction
 stay near the input norm.  Without it, clearing column c can square the
-magnitudes accumulated so far.  Each size reduction is one compressed
-power chunk and each swap the three-letter signed swap used for carrier
-rows.  The result reports the largest entry met after every row operation
-(peak_norm) and the per-column sup norms; neither affects correctness.
+magnitudes accumulated so far.  The reduction runs on a virtual order of
+the rows: a swap exchanges two positions of a permutation (Cohen's
+unsigned SWAPI), so it moves no row and emits no letter, and each size
+reduction is one compressed power chunk between the rows at two
+positions.  The reduced rows stay where they are, and column clearing
+moves each carrier onto the diagonal with at most N - 1 signed swaps.  The result reports the
+largest entry met after every row operation (peak_norm) and the
+per-column sup norms; neither affects correctness.
 """
 
 from dataclasses import dataclass
@@ -28,15 +32,19 @@ from .errors import NotInGroupError, UnsupportedDimensionError
 from .rowreduce import RowReducer
 
 
-def _lll_reduce(red: RowReducer) -> None:
+def _lll_reduce(red: RowReducer) -> list[int]:
     """Integral LLL reduction of the rows with delta = 3/4 (Cohen, Alg. 2.6.7).
 
-    d[i] is the Gram determinant of the first i rows and lam[k][j] is
-    d[j + 1] times the Gram-Schmidt coefficient mu[k][j], all exact integers.
-    A swap moves row k up and negates the old row k - 1, so the signs of the
-    coefficients that involve the new row k flip.
+    The rows are reduced in the virtual order perm: position k holds row
+    perm[k], and a swap exchanges two entries of perm, which moves no row
+    and emits no letter (Cohen's unsigned SWAPI).  d[i] is the Gram
+    determinant of the first i positions and lam[k][j] is d[j + 1] times
+    the Gram-Schmidt coefficient mu[k][j], all exact integers.  Every
+    letter comes from a size reduction.  Returns perm: rows perm[0], ...,
+    perm[n - 1] (0-based) are the reduced basis in order.
     """
     n, rows = red.n, red.rows
+    perm = list(range(n))
     d = [1, sum(x * x for x in rows[0])] + [0] * (n - 1)
     lam = [[0] * n for _ in range(n)]
 
@@ -45,7 +53,7 @@ def _lll_reduce(red: RowReducer) -> None:
         if 2 * abs(u) <= dl:
             return
         q = (2 * u + dl) // (2 * dl)
-        red.add(k + 1, l + 1, -q)
+        red.add(perm[k] + 1, perm[l] + 1, -q)
         lam[k][l] = u - q * dl
         for i in range(l):
             lam[k][i] -= q * lam[l][i]
@@ -54,9 +62,9 @@ def _lll_reduce(red: RowReducer) -> None:
     while k < n:
         if k > kmax:
             kmax = k
-            bk = rows[k]
+            bk = rows[perm[k]]
             for j in range(k + 1):
-                u = sum(x * y for x, y in zip(bk, rows[j]))
+                u = sum(x * y for x, y in zip(bk, rows[perm[j]]))
                 for i in range(j):
                     u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
                 if j < k:
@@ -66,22 +74,21 @@ def _lll_reduce(red: RowReducer) -> None:
         size_reduce(k, k - 1)
         lk = lam[k][k - 1]
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
-            red.swap(k, k + 1)
+            perm[k - 1], perm[k] = perm[k], perm[k - 1]
             for j in range(k - 1):
-                lam[k][j], lam[k - 1][j] = -lam[k - 1][j], lam[k][j]
-            lam[k][k - 1] = -lk
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
             for i in range(k + 1, kmax + 1):
                 t = lam[i][k]
-                u = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-                lam[i][k - 1] = (b * t + lk * u) // d[k + 1]
-                lam[i][k] = -u
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
             d[k] = b
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
+    return perm
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ carrier onto the diagonal.  Upper clearing zeroes the strict upper
 triangle one column per batch, dividing out each unit pivot; the diagonal
 endgame sweeps the remaining diagonal of units to the identity with the
 gadget diag(a^-1, a), which over Z has a = -1.  A batch takes its aux
-index from a pool: the active rows while folding, when there are three
-or more of them, and every row otherwise, so with two active rows aux is
+index from a pool: while folding three or more active rows, the active
+rows and then the finished ones (rows 1..col-1 when clear_column folds
+column col; euclid.accelerated_reduce has none, so its letters stay on
+the active rows), and every row otherwise, so with two active rows aux is
 row 1.  Both rings run the same sequence: clear_column for each column,
 clear_upper, clear_diagonal, check_identity.  Over Z/p the column entries
 are residues in [0, p), so the division runs on integers and the
@@ -89,7 +91,9 @@ class RowReducer:
         a = eletter(i, j, -1)
         self.out.extend((a, eletter(j, i), a))
 
-    def fold(self, col: int, active: range) -> tuple[int, list[tuple[int, int, int]]]:
+    def fold(
+        self, col: int, active: range, finished: range = range(0)
+    ) -> tuple[int, list[tuple[int, int, int]]]:
         """Fold column col of the active rows into one carrier row by N-ary Euclid rounds.
 
         Each round takes as source the active row with the smallest nonzero
@@ -98,11 +102,13 @@ class RowReducer:
         every remainder is smaller than the source.  The rounds stop when a
         single nonzero entry, the gcd up to sign, is left in the carrier.
         Over Z/p the entries are residues in [0, p), so the remainders are
-        the reduced entries.  Returns the carrier and the moves
-        (target, source, multiple), 1-based, in temporal order.
+        the reduced entries.  With three or more active rows the batches
+        draw aux from the active rows, then from the finished rows, which
+        no round touches; with two, from every row.  Returns the carrier
+        and the moves (target, source, multiple), 1-based, in temporal order.
         """
         rows, c = self.rows, col - 1
-        pool = active if len(active) >= 3 else self.all_rows
+        pool = (*active, *finished) if len(active) >= 3 else self.all_rows
         moves = []
         while True:
             live = [a for a in active if rows[a - 1][c] != 0]
@@ -126,7 +132,7 @@ class RowReducer:
                 raise InternalStateError(f"column {d + 1} is not cleared below the diagonal")
         if all(rows[r][col - 1] == 0 for r in range(col - 1, n)):
             raise InternalStateError(f"column {col} is zero at and below the diagonal")
-        carrier, _ = self.fold(col, range(col, n + 1))
+        carrier, _ = self.fold(col, range(col, n + 1), range(1, col))
         if carrier != col:
             self.swap(col, carrier)
         pivot = rows[col - 1][col - 1]

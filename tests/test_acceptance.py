@@ -170,8 +170,8 @@ def test_acceptance_06_normal_form_round_trip():
     report(
         6,
         "normal form round trip",
-        elapsed < 120.0 and worst_ratio <= 140.0,
-        f"3000 matrices exact, worst length/ln(norm)={worst_ratio:.1f} (<= 140), "
+        elapsed < 120.0 and worst_ratio <= 93.0,
+        f"3000 matrices exact, worst length/ln(norm)={worst_ratio:.1f} (<= 93), "
         f"elapsed={elapsed:.1f}s",
     )
 

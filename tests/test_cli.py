@@ -136,6 +136,10 @@ def test_cli_gcd_trace(capsys):
     subtractive = json.loads(out)["subtractive"]
     assert subtractive["trace"][:2] == [[-32, 8, -12], [-20, 8, -12]]
     assert len(subtractive["trace"]) == subtractive["steps"] + 1
+    # one line per trace entry, and per quotient step
+    lines = [line.strip() for line in out.splitlines()]
+    assert "[-32, 8, -12]," in lines and "[0, 0, -4]" in lines
+    assert "[1, 2, 4]," in lines
 
 
 def test_cli_gcd_json(capsys):

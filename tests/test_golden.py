@@ -51,28 +51,28 @@ def unimodular_corpus(n: int):
 
 GOLDEN_Z = {
     3: (
-        "0fa2b0bd31a905c05db12b1ee6660483cc522fd5153e00a06695efced21a36fe",
-        "c8a24a20cd9d440683e33c4f88b2b96524c1e5c3b9cb88ea9b3db56875d927e3",
+        "337801dbcb40fa113a53d2df547340fd6ece85fe72af21bd7fe012631986bdc3",
+        "2268154c938ab765ddae76691dde45d970a43d7c9ba1e2065cfcbeb0d66c5755",
     ),
     4: (
-        "397d950b5407a155c0f6941bb9c45ba0057f596de15d15b7c6c719e918cb18a6",
-        "f6f1758237d50ec92f9c9f2fe2e0087f3eaadf440123862b4b67cf7e24fb1808",
+        "aac2df1d2e003065dc21deaadbf56a749886b570d1b6c408ed724f863e5017e3",
+        "7ecd29c76acf409335ab766f56e4e31e2408a3a1362fb3edf3f6660ae2fe6f6f",
     ),
     5: (
-        "6db3a6be5e51a3717e92e6798a6408d36659dea36272461f5be672f9ba774c8c",
-        "83dae3fa29bcb17fc1619dedcdf79c142eb2f6dbdeb021a431bb14cb47ac6453",
+        "79845fb44b63b166e54732c0df66f3f21ca033660e5d98026537cfb1cc7fd058",
+        "84c02a36fdb8b7905076b7e0c6b3fdbb42f7d9f5da66dd4e7c87d41b39a0fe92",
     ),
     6: (
-        "285c8005a0cb9d105ab6c7e50e60346be7f0eac5282bc266dcf7ffe106686acc",
-        "3b2c779ef654aa9a3db0b3f158540663ef38db1514837f1da0b156cc6f8fdd2c",
+        "1a9dd252fa4d50692dfa2cccf6ff1f42193dbca4168bf4f1f9b8049c6830fead",
+        "e5b86c60a68a8739b3cec97a7fe282acf8b31274d7c28f4e31d8364cdbc07ca9",
     ),
     7: (
-        "7980f742b1236568fa7e9a47b2f02e196a5c30553034093f1818911ea1331aa6",
-        "4d367d4cc7d1025509116d61a30ef1bcb41f0875136aca8a0a6c6b9a277186b3",
+        "791607d7bb2399111413b8383eeb280faee5dfa103781a4b79c5894510b9c2d5",
+        "f266ca7451e83494a3f77c1913f2168948802d8ab0dbd4d53f460d37be3024e1",
     ),
     8: (
-        "c12aa5ffc6af83b7a910cb1e1464e7ce618fe57d4252def89519bedd1b657416",
-        "4b1c6577b2d0f36ba38ba26dfa688ad8d2360326e941ad96e36203570d2a9568",
+        "33be6ac2d7ddad4426bcc476ffc46ede3ddef536428dc311e1eab3779dadbe7d",
+        "11d1a9b16fe00fdf0d4e0bb0e9775130b9b399461863d74c87c27ecb95ca4f2a",
     ),
 }
 
@@ -113,9 +113,9 @@ def test_golden_word_for_modp_all_of_sl3_f2():
 
 GOLDEN_FP = {
     (3, 101): "57041a3e2829253008bb1681e9e6129dbc8d36913a3663eefe3ee499a61b5a97",
-    (4, 10007): "bf94b0af54d2df22d0db73c773968f7e0680369d85679af452a7094fb3eeba89",
-    (5, 2**31 - 1): "e6966a51f56cf5fb52ced6fa0e2e3f79b361b9076a56ba993f15f698a6575e89",
-    (6, 2**61 - 1): "48df26c29e51ded495a942b0a14256ed55f81dc407c3ec4fecd130090890fcfe",
+    (4, 10007): "8fedabfc365d7c0ea96f1d925652d1c6918407df4aece2f35110a7be108d0273",
+    (5, 2**31 - 1): "654546467fb2dbdb0782f2920898f07762caefff287044105831eaac99cf874f",
+    (6, 2**61 - 1): "b5eb8435b7a29d67c4113b64c88b88751d63c981c5de85ffb1adce79b6d2bbcd",
 }
 
 

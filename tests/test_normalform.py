@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from cayleynav.core import (
     MatZ,
     Word,
+    determinant,
     eletter,
     elementary_matrix,
     eval_word_z,
@@ -20,6 +22,7 @@ from cayleynav.errors import (
 )
 from cayleynav.normalform import (
     NormalFormResult,
+    _lll_reduce,
     normal_form,
     normal_form_result,
 )
@@ -217,3 +220,47 @@ def test_normal_form_round_trip_big_entries(n, bits, seed):
     assert eval_word_z(r.word) == m
     assert sum(r.phase_lengths) == len(r.word)
     assert r.peak_norm.bit_length() <= sup_norm(m).bit_length() + n
+
+
+class NoSwapReducer(RowReducer):
+    def swap(self, i, j):
+        raise AssertionError(f"LLL moved rows {i} and {j}")
+
+
+def test_lll_reduces_in_its_virtual_order():
+    # an independent check in exact rationals: size reduction, the Lovasz
+    # condition at delta = 3/4, and the word against the input
+    rng = random.Random(31)
+    for n in (3, 4, 5, 6):
+        for trial in range(8):
+            if trial % 2:
+                m = random_unimodular(rng, n, 60)
+            else:
+                m = MatZ.from_rows([[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)])
+                if determinant(m) == 0:
+                    continue
+            red = NoSwapReducer([list(r) for r in m.rows])
+            perm = _lll_reduce(red)
+            assert sorted(perm) == list(range(n))
+            basis = [red.rows[i] for i in perm]
+            star, norms, mu = [], [], [[Fraction(0)] * n for _ in range(n)]
+            for k, b in enumerate(basis):
+                v = [Fraction(x) for x in b]
+                for j in range(k):
+                    mu[k][j] = sum(x * y for x, y in zip(b, star[j])) / norms[j]
+                    v = [x - mu[k][j] * y for x, y in zip(v, star[j])]
+                star.append(v)
+                norms.append(sum(x * x for x in v))
+            for k in range(1, n):
+                assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+                assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+            final = MatZ(n, tuple(map(tuple, red.rows)))
+            assert eval_word_z(Word(n, tuple(red.out))) * final == m
+
+
+def test_lll_swaps_emit_no_letters():
+    # two swaps reorder the rows for free; the one size reduction is one letter
+    red = NoSwapReducer([[1, 1, 0], [0, 0, 1], [0, -1, 0]])
+    assert _lll_reduce(red) == [1, 2, 0]
+    assert red.rows == [[1, 0, 0], [0, 0, 1], [0, -1, 0]]
+    assert Word(3, tuple(red.out)).tokens() == "e(1,3)^-1"
