@@ -51,7 +51,6 @@ def _corner(k: int) -> tuple[int, ...]:
     return _ones_column(k) + (_BI,) + _inverse(_ones_column(k - 1)) + (_B,)
 
 
-@lru_cache(maxsize=None)
 def eij_ab_word(i: int, j: int, n: int) -> Word:
     """Word over A, B equal to e(i, j), at most 10n letters."""
     if n < 2:

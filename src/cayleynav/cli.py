@@ -18,17 +18,12 @@ from dataclasses import asdict
 
 from .abwords import eij_ab_word, rewrite_word_ab
 from .bfs import DEFAULT_BUDGET, bfs_ball_sl2z, bfs_diameter
-from .compression import compress_power, compress_power_modp
-from .core import MatFp, MatZ, eval_word_fp, eval_word_z, least_abs_residue, sup_norm
+from .compression import compress_power
+from .core import MatFp, MatZ, eval_word_fp, eval_word_z, is_prime, least_abs_residue, sup_norm
 from .errors import BudgetExceededError, CayleyNavError, DomainError, ParseError
 from .euclid import DEFAULT_K, accelerated_reduce, step_bound, subtractive_gcd
 from .fibonacci import zeckendorf, zeckendorf_length_bound
-from .formats import (
-    format_word_text,
-    parse_matrix_text,
-    parse_word_text,
-    word_to_json,
-)
+from .formats import parse_matrix_text, parse_word_text, word_to_json
 from .modp import diameter_upper_bound_report, word_for_modp
 from .normalform import normal_form_result
 
@@ -93,13 +88,13 @@ def _emit(args, payload: dict, text: str) -> None:
 def cmd_compress(args) -> int:
     m = args.m
     if args.modp is not None:
-        w = compress_power_modp(args.n, args.i, args.j, m, args.modp, args.aux)
+        if not is_prime(args.modp):
+            raise DomainError(f"modulus {args.modp} is not prime")
         m = least_abs_residue(m, args.modp)
-    else:
-        w = compress_power(args.n, args.i, args.j, m, args.aux)
+    w = compress_power(args.n, args.i, args.j, m, args.aux)
     bound = zeckendorf_length_bound(abs(m)) if m else 0.0
     payload = {"length": len(w), "bound": bound, "word": word_to_json(w)}
-    _emit(args, payload, format_word_text(w))
+    _emit(args, payload, w.tokens())
     return 0
 
 
@@ -166,7 +161,7 @@ def cmd_normal_form(args) -> int:
     if not args.stats:
         res, payload = _normal_form(_read_matrix(text, MatZ))
         payload.update(column_norms=list(res.column_norms), word=word_to_json(res.word))
-        _emit(args, payload, format_word_text(res.word))
+        _emit(args, payload, res.word.tokens())
         return 0
     blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
     rows = []
@@ -191,7 +186,7 @@ def cmd_reduce_modp(args) -> int:
     m = _read_matrix(_read_text(args.path), MatFp)
     w = word_for_modp(m)
     payload = {"length": len(w), "p": m.p, "word": word_to_json(w)}
-    _emit(args, payload, format_word_text(w))
+    _emit(args, payload, w.tokens())
     return 0
 
 
@@ -220,7 +215,7 @@ def cmd_rewrite_ab(args) -> int:
     w = parse_word_text(text, args.n)
     out = rewrite_word_ab(w)
     payload = {"input_length": len(w), "length": len(out), "word": word_to_json(out)}
-    _emit(args, payload, format_word_text(out))
+    _emit(args, payload, out.tokens())
     return 0
 
 
@@ -234,8 +229,8 @@ def cmd_ab_table(args) -> int:
             if i == j:
                 continue
             w = eij_ab_word(i, j, args.n)
-            rows.append({"i": i, "j": j, "length": len(w), "word": format_word_text(w)})
-            lines.append(f"e({i},{j})  len={len(w):3d}  {format_word_text(w)}")
+            rows.append({"i": i, "j": j, "length": len(w), "word": w.tokens()})
+            lines.append(f"e({i},{j})  len={len(w):3d}  {w.tokens()}")
     _emit(args, {"n": args.n, "entries": rows}, "\n".join(lines))
     return 0
 
@@ -266,13 +261,12 @@ def cmd_sl2_lowerbound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the word comes from --word, else from the tokens, else from stdin
+    word_path = args.word if args.word is not None else (None if args.tokens else "-")
+    if args.matrix == "-" and word_path == "-":
+        raise ParseError("the matrix and the word cannot both come from stdin")
     m = parse_matrix_text(_read_text(args.matrix))
-    if args.word is not None:
-        text = _read_text(args.word)
-    elif args.tokens:
-        text = " ".join(args.tokens)
-    else:
-        text = _read_text("-")
+    text = " ".join(args.tokens) if word_path is None else _read_text(word_path)
     w = parse_word_text(text, m.n)
     if isinstance(m, MatFp):
         got = eval_word_fp(w, m.p)

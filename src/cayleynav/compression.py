@@ -35,12 +35,8 @@ each half takes a member of the other as aux.
 
 from functools import lru_cache
 
-from .core import Word, _word, eletter, is_prime, least_abs_residue
-from .errors import (
-    DomainError,
-    InvalidGeneratorError,
-    UnsupportedDimensionError,
-)
+from .core import Word, _word, eletter
+from .errors import InvalidGeneratorError, UnsupportedDimensionError
 from .fibonacci import zeckendorf
 
 # Every template has 4 + 8 * (k_max // 2) + 2 r >= 14 letters (k_max >= 2,
@@ -169,13 +165,3 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
     pool = range(1, n + 1) if aux is None else (aux,)
     return _word(n, tuple(_batch_letters([], j, ((i, m),), pool)))
 
-
-def compress_power_modp(n: int, i: int, j: int, m: int, p: int, aux: int | None = None) -> Word:
-    """Compressed word congruent to e(i, j)^m mod p.
-
-    The exponent is first replaced by its least-absolute-value residue in
-    (-p/2, p/2], so the word length scales with log p rather than log m.
-    """
-    if not is_prime(p):
-        raise DomainError(f"modulus {p} is not prime")
-    return compress_power(n, i, j, least_abs_residue(m, p), aux)

@@ -39,10 +39,6 @@ def parse_word_text(text: str, n: int) -> Word:
         raise ParseError(f"invalid word: {exc}") from exc
 
 
-def format_word_text(w: Word) -> str:
-    return w.tokens()
-
-
 def parse_matrix_text(text: str) -> MatZ | MatFp:
     """Parse the matrix text format; the header decides Z versus F_p.
 

@@ -102,7 +102,8 @@ class NormalFormResult:
     before phase one and after each cleared column.  peak_norm is the
     largest |entry| of the working matrix, the input included, after every
     row operation of every phase; each target row of a compressed batch
-    counts as one operation.
+    counts as one operation, and so does each of the three row operations
+    of a signed swap.
     """
 
     word: Word

@@ -10,9 +10,10 @@ The unit of work is a batch: row_i += q_i * row_j for several targets i
 and one common source j.  Its premultipliers commute, so it emits the
 letters of the product of e(i, j)^-q_i as one fused template
 (compression._batch_letters), without building a Word per batch.  A
-single row operation is a batch of one.  The letters are valid by
-construction, so the caller wraps the output with core._word, and
-check_identity vouches for what they evaluate to.
+single row operation is a batch of one, and a signed swap is three row
+operations, so batch is the only place the engine spells letters.  The
+letters are valid by construction, so the caller wraps the output with
+core._word, and check_identity vouches for what they evaluate to.
 
 Column clearing folds the column into a carrier row by N-ary Euclidean
 rounds (fold, which euclid.accelerated_reduce also runs, on a one-column
@@ -34,7 +35,7 @@ exponents in the least-absolute window (-p/2, p/2].
 """
 
 from .compression import _batch_letters
-from .core import eletter, inverse_mod, least_abs_residue
+from .core import inverse_mod, least_abs_residue
 from .errors import InternalStateError, UnsupportedDimensionError
 
 
@@ -81,15 +82,15 @@ class RowReducer:
         self.batch(j, ((i, q),), self.all_rows)
 
     def swap(self, i: int, j: int) -> None:
-        """Row i takes row j and row j the negated row i.
+        """Row i takes row j and row j the negated row i, by three row operations.
 
-        The premultiplier is e(i,j) e(j,i)^-1 e(i,j); its inverse is emitted.
+        row_i += row_j, row_j -= row_i, row_i += row_j: the premultiplier is
+        e(i,j) e(j,i)^-1 e(i,j), and its inverse e(i,j)^-1 e(j,i) e(i,j)^-1
+        is emitted.
         """
-        rows, p = self.rows, self.p
-        neg = [-x for x in rows[i - 1]] if p is None else [-x % p for x in rows[i - 1]]
-        rows[i - 1], rows[j - 1] = rows[j - 1], neg
-        a = eletter(i, j, -1)
-        self.out.extend((a, eletter(j, i), a))
+        self.add(i, j, 1)
+        self.add(j, i, -1)
+        self.add(i, j, 1)
 
     def fold(
         self, col: int, active: range, finished: range = range(0)

@@ -23,7 +23,7 @@ from cayleynav.core import (
 )
 from cayleynav.errors import DomainError, ParseError
 from cayleynav.fibonacci import zeckendorf_length_bound
-from cayleynav.formats import format_word_text, parse_matrix_text, parse_word_text, word_to_json
+from cayleynav.formats import parse_matrix_text, parse_word_text, word_to_json
 
 PERM = MatZ.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
@@ -54,10 +54,10 @@ def run(capsys, *argv):
 
 def test_word_text_round_trip():
     w = Word(3, (eletter(1, 2), eletter(2, 3, -1)))
-    assert format_word_text(w) == "e(1,2) e(2,3)^-1"
+    assert w.tokens() == "e(1,2) e(2,3)^-1"
     assert parse_word_text("e(1,2) e(2,3)^-1", 3) == w
     ab = Word(4, (abletter("A"), abletter("B", -1)))
-    assert parse_word_text(format_word_text(ab), 4) == ab
+    assert parse_word_text(ab.tokens(), 4) == ab
     assert parse_word_text("", 3) == Word(3)
 
 
@@ -439,7 +439,7 @@ def test_cli_verify_match(tmp_path, capsys):
     word = tmp_path / "w.txt"
     from cayleynav.normalform import normal_form
 
-    word.write_text(format_word_text(normal_form(PERM)))
+    word.write_text(normal_form(PERM).tokens())
     rc, out, _ = run(capsys, "verify", "--matrix", str(path), "--word", str(word))
     assert rc == 0
     assert out.startswith("MATCH length=")
@@ -472,6 +472,17 @@ def test_cli_verify_modp(tmp_path, capsys):
     path.write_text("3 5\n1 2 0\n0 1 0\n0 0 1\n")
     rc, out, _ = run(capsys, "verify", "--matrix", str(path), "e(1,2)", "e(1,2)", "e(1,2)", "e(1,2)", "e(1,2)", "e(1,2)", "e(1,2)")
     assert rc == 0  # seven applications are two mod five
+
+
+def test_cli_verify_refuses_matrix_and_word_both_from_stdin(monkeypatch, capsys):
+    message = "error: the matrix and the word cannot both come from stdin\n"
+    for word_args in ((), ("--word", "-")):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3\n1 1 0\n0 1 0\n0 0 1\n"))
+        rc, out, err = run(capsys, "verify", "--matrix", "-", *word_args)
+        assert (rc, out, err) == (2, "", message)
+    # the matrix from stdin and the word as tokens
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n1 1 0\n0 1 0\n0 0 1\n"))
+    assert run(capsys, "verify", "--matrix", "-", "e(1,2)") == (0, "MATCH length=1\n", "")
 
 
 def test_cli_exit_codes(tmp_path, capsys):

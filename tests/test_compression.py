@@ -4,12 +4,8 @@ from functools import reduce
 
 import pytest
 
-from cayleynav.compression import (
-    _batch_letters,
-    _fused_template,
-    compress_power,
-    compress_power_modp,
-)
+from cayleynav.cli import main
+from cayleynav.compression import _batch_letters, _fused_template, compress_power
 from cayleynav.core import (
     MatZ,
     Word,
@@ -20,8 +16,9 @@ from cayleynav.core import (
     letter_matrix_z,
     mat_z_mod,
 )
-from cayleynav.errors import DomainError, InvalidGeneratorError, UnsupportedDimensionError
+from cayleynav.errors import InvalidGeneratorError, UnsupportedDimensionError
 from cayleynav.fibonacci import fib, zeckendorf, zeckendorf_length_bound
+from cayleynav.formats import parse_word_text
 
 
 def e13_power(m):
@@ -172,25 +169,32 @@ def test_compress_power_argument_validation():
         compress_power(3, 1, 2, 5, aux=4)
 
 
-def test_compress_power_modp_reduces_exponent_first():
+def compress_modp(capsys, n, i, j, m, p):
+    """Exit code and word of `cayley-nav compress n i j m --modp p`."""
+    rc = main(["compress", str(n), str(i), str(j), str(m), "--modp", str(p)])
+    return rc, parse_word_text(capsys.readouterr().out, n)
+
+
+def test_compress_power_modp_reduces_exponent_first(capsys):
     # 100 = -1 mod 101, so one inverse letter beats any template
-    w = compress_power_modp(3, 1, 2, 100, 101)
-    assert w.letters == (eletter(1, 2, -1),)
-    assert len(compress_power_modp(3, 1, 2, 101 * 7, 101)) == 0
+    rc, w = compress_modp(capsys, 3, 1, 2, 100, 101)
+    assert rc == 0 and w.letters == (eletter(1, 2, -1),)
+    assert compress_modp(capsys, 3, 1, 2, 101 * 7, 101) == (0, Word(3))
 
 
-def test_compress_power_modp_matches_plain_power():
+def test_compress_power_modp_matches_plain_power(capsys):
     rng = random.Random(15)
     for p in (5, 101, 1009):
         for _ in range(15):
             m = rng.randint(-(10**9), 10**9)
-            w = compress_power_modp(3, 1, 3, m, p)
+            rc, w = compress_modp(capsys, 3, 1, 3, m, p)
+            assert rc == 0
             assert eval_word_fp(w, p) == mat_z_mod(target(3, 1, 3, m % p), p)
 
 
-def test_compress_power_modp_rejects_composite_modulus():
-    with pytest.raises(DomainError):
-        compress_power_modp(3, 1, 2, 5, 10)
+def test_compress_power_modp_rejects_composite_modulus(capsys):
+    assert main(["compress", "3", "1", "2", "5", "--modp", "10"]) == 3
+    assert capsys.readouterr().err == "error: modulus 10 is not prime\n"
 
 
 def test_compress_power_length_bound_sweep():

@@ -60,5 +60,7 @@ def test_public_surface():
         (abwords, "e1k_ab_word"),
         (compression, "_template"),
         (compression, "_power_letters"),
+        (compression, "compress_power_modp"),
+        (formats, "format_word_text"),
     ):
         assert not hasattr(module, name), name
