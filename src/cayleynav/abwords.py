@@ -8,7 +8,9 @@ words whose evaluations have an all-ones column, and stay short: every
 e(i, j) costs fewer than 10n letters.
 
 Words are spelled as letter codes A, B, B^-1, A^-1 = 0, 1, 2, 3, so the
-inverse of code c is 3 - c, and become letters once, at the end.
+inverse of code c is 3 - c.  Rewriting caches each piece once more as the
+four shared letter objects and splices those into the output, so no
+output letter is ever converted from a code.
 """
 
 from functools import lru_cache
@@ -22,10 +24,6 @@ _A, _B, _BI, _AI = range(4)
 
 def _inverse(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(3 - c for c in reversed(codes))
-
-
-def _ab_word(n: int, codes: tuple[int, ...]) -> Word:
-    return _word(n, tuple(map(_AB_LETTERS.__getitem__, codes)))
 
 
 def _ones_column(k: int) -> tuple[int, ...]:
@@ -57,10 +55,9 @@ def eij_ab_word(i: int, j: int, n: int) -> Word:
         raise DomainError(f"dimension must be at least 2, got {n}")
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise InvalidGeneratorError(f"e({i},{j}) invalid in dimension {n}")
-    return _ab_word(n, _piece(i, j, 1, n))
+    return _word(n, _spliced(i, j, 1, n)[0])
 
 
-@lru_cache(maxsize=None)
 def _piece(i: int, j: int, e: int, n: int) -> tuple[int, ...]:
     """Letter codes of the freely reduced A, B word for e(i, j)^e.
 
@@ -76,23 +73,36 @@ def _piece(i: int, j: int, e: int, n: int) -> tuple[int, ...]:
     return (_BI,) * (i - 1) + corner + (_B,) * (i - 1)
 
 
+@lru_cache(maxsize=None)
+def _spliced(i: int, j: int, e: int, n: int) -> tuple[tuple, tuple]:
+    """The piece for e(i, j)^e as letters, and the letter each one cancels.
+
+    The one piece cache.  Both tuples hold only the four _AB_LETTERS
+    objects, so cancellation is an identity test: the letter of code c
+    cancels an output letter that is _AB_LETTERS[3 - c].
+    """
+    codes = _piece(i, j, e, n)
+    return tuple(_AB_LETTERS[c] for c in codes), tuple(_AB_LETTERS[3 - c] for c in codes)
+
+
 def rewrite_word_ab(w: Word) -> Word:
     """Substitute an A, B word for every letter of an elementary word.
 
     The result is freely reduced.  Each substituted piece is freely reduced
     already, so cancellation only happens where a piece meets the output
-    so far: a stack of letter codes absorbs the piece's head and keeps the
-    rest.  Codes become letters once, at the end.
+    so far: a stack of letters absorbs the piece's head, tested by
+    identity against the inverse letters, and the rest is spliced in.
     """
     if w.letters and w.alphabet != ELEMENTARY:
         raise DomainError("rewriting expects a word over elementary letters")
     n = w.n
-    out: list[int] = []
+    out: list = []
+    pop, extend = out.pop, out.extend
     for l in w.letters:
-        piece = _piece(l.i, l.j, l.e, n)
+        letters, cancels = _spliced(l.i, l.j, l.e, n)
         k = 0
-        while out and k < len(piece) and out[-1] == 3 - piece[k]:
-            out.pop()
+        while out and k < len(cancels) and out[-1] is cancels[k]:
+            pop()
             k += 1
-        out.extend(piece[k:])
-    return _ab_word(n, tuple(out))
+        extend(letters[k:])
+    return _word(n, tuple(out))

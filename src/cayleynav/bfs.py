@@ -4,9 +4,12 @@ These searches provide ground truth for the constructive algorithms: exact
 distance maps and diameters for SL_n over tiny prime fields, the word
 ball around the identity in SL_2(Z), and optimal pair-reduction counts.
 All of them are exponential in nature, so every entry point checks its
-state budget before touching memory.
+state budget before touching memory.  The SL_n(F_p) search keeps no
+Python object per state: visited states are bytes of a table indexed by
+the packed state, and each distance level is an array of packed states.
 """
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
 
@@ -139,7 +142,12 @@ def _packing(n: int, p: int, alphabet: str, order: int):
 def _search(n: int, p: int, alphabet: str, budget: int):
     """Breadth-first levels from the identity over packed states.
 
-    Returns (levels, decode): levels[d] lists the packed states at distance
+    Visited states are marked in a bytearray of p**(n*n) bytes, indexed by
+    the packed code, and each level is an array('q') of codes, so the
+    search holds no Python object per state.  The byte table is charged to
+    the budget at 8 bytes per state of budget.
+
+    Returns (levels, decode): levels[d] holds the packed states at distance
     d in discovery order, and decode turns one back into its flat entry
     tuple.
     """
@@ -148,25 +156,33 @@ def _search(n: int, p: int, alphabet: str, budget: int):
         raise BudgetExceededError(
             f"SL_{n}(F_{p}) has {order} elements, over the budget of {budget}"
         )
+    size = p ** (n * n)
+    if size > 8 * budget:
+        raise BudgetExceededError(
+            f"SL_{n}(F_{p}) needs a visited table of {size} bytes, "
+            f"over 8 times the budget of {budget}"
+        )
     encode, decode, step = _packing(n, p, alphabet, order)
     start = encode(tuple(1 if r == c else 0 for r in range(n) for c in range(n)))
-    levels = [[start]]
-    seen = {start}
-    add = seen.add
+    seen = bytearray(size)
+    seen[start] = 1
+    levels = [array("q", (start,))]
+    reached = 1
     while True:
-        nxt = []
+        nxt = array("q")
         app = nxt.append
         for c in levels[-1]:
             for c2 in step(c):
-                if c2 not in seen:
-                    add(c2)
+                if not seen[c2]:
+                    seen[c2] = 1
                     app(c2)
         if not nxt:
             break
+        reached += len(nxt)
         levels.append(nxt)
-    if len(seen) != order:
+    if reached != order:
         raise InternalStateError(
-            f"reached {len(seen)} elements, expected {order}: generators do not generate"
+            f"reached {reached} elements, expected {order}: generators do not generate"
         )
     return levels, decode
 

@@ -104,6 +104,21 @@ def test_rewrite_cancels_inverse_pairs():
     assert rewrite_word_ab(Word(3)) == Word(3)
 
 
+def test_rewrite_equals_free_reduced_concatenation():
+    # splicing with cancellation at every junction is the same as
+    # concatenating the pieces and freely reducing the whole word
+    rng = random.Random(29)
+    for n in (2, 5, 8, 16):
+        for _ in range(8):
+            w = random_eword(rng, n, rng.randrange(1, 30))
+            v = random_eword(rng, n, rng.randrange(0, 6))
+            for x in (w, w * w.inverse() * v, v * w * w.inverse()):
+                pieces = [eij_ab_word(l.i, l.j, n) for l in x.letters]
+                pieces = [u if l.e > 0 else u.inverse() for u, l in zip(pieces, x.letters)]
+                joined = Word(n, tuple(a for u in pieces for a in u.letters))
+                assert rewrite_word_ab(x) == joined.free_reduce()
+
+
 def test_rewrite_rejects_ab_input():
     with pytest.raises(DomainError):
         rewrite_word_ab(Word(3, (abletter("A"),)))

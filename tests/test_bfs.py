@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from cayleynav.bfs import (
@@ -104,6 +106,31 @@ def test_bfs_budget_refusal():
     with pytest.raises(BudgetExceededError):
         bfs_diameter(2, 3, budget=10)
     assert DEFAULT_BUDGET == 10_000_000
+
+
+def test_bfs_visited_table_is_charged_to_the_budget():
+    # the visited table has p**(n*n) bytes, allowed up to 8 bytes per state
+    # of budget: SL_2(F_101) has 1 030 200 elements but a 101**4-byte table
+    assert sl_group_order(2, 101) <= DEFAULT_BUDGET < 101**4
+    with pytest.raises(BudgetExceededError, match="visited table"):
+        bfs_diameter(2, 101)
+    # SL_2(F_11) has 1320 elements and a table of 11**4 = 14641 bytes
+    with pytest.raises(BudgetExceededError, match="visited table"):
+        bfs_diameter(2, 11, budget=1830)
+    assert bfs_diameter(2, 11, budget=1831).order == 1320
+
+
+def test_bfs_memory_per_state():
+    # a byte per packed code and 8 per state in the levels, no object per state
+    for n, p, alphabet in ((4, 2, AB), (3, 3, ELEMENTARY)):
+        bfs_diameter(n, p, alphabet)
+        tracemalloc.start()
+        try:
+            rep = bfs_diameter(n, p, alphabet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rep.order <= 24, (n, p, alphabet, peak / rep.order)
 
 
 def test_sl2_ball_layers():

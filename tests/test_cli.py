@@ -494,6 +494,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 3 and "determinant" in err
     rc, _, err = run(capsys, "bfs-diameter", "3", "101")
     assert rc == 4 and "error:" in err
+    # under the state budget, but the visited table of 101**4 bytes is not
+    rc, out, err = run(capsys, "bfs-diameter", "2", "101")
+    assert rc == 4 and out == "" and "visited table" in err
 
 
 def test_cli_gcd_step_budget_exits_4(monkeypatch, capsys):
