@@ -50,37 +50,9 @@ def _read_matrix(text: str, kind: type) -> MatZ | MatFp:
     return m
 
 
-_NESTED = (dict, list, tuple)
-
-
-def _json_text(value, pad: str = "") -> str:
-    """value as one JSON document with sorted keys, indented two spaces a level.
-
-    A list or object that holds no list or object takes one line, so each
-    entry of a gcd trace or of a word's letters is one line.  A list of
-    flat number lists is encoded in one call and split at its entries,
-    which is exact because such text has no string in which "], [" could
-    occur.
-    """
-    inner = pad + "  "
-    if isinstance(value, dict) and any(isinstance(v, _NESTED) for v in value.values()):
-        body = f",\n{inner}".join(
-            f"{json.dumps(str(k))}: {_json_text(v, inner)}" for k, v in sorted(value.items())
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(value, (list, tuple)) and any(isinstance(v, _NESTED) for v in value):
-        flat = all(isinstance(v, (list, tuple)) for v in value) and json.dumps(value)
-        if flat and '"' not in flat and flat.count("[") == len(value) + 1:
-            body = flat[1:-1].replace("], [", f"],\n{inner}[")
-        else:
-            body = f",\n{inner}".join(_json_text(v, inner) for v in value)
-        return f"[\n{inner}{body}\n{pad}]"
-    return json.dumps(value, sort_keys=True)
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(_json_text(payload))
+        print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
 

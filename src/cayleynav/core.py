@@ -102,18 +102,13 @@ class Word:
         if not self.letters:
             return
         first = self.letters[0].alphabet
-        n = self.n
-        if not all(
-            l.alphabet == first and (first == AB or (l.i <= n and l.j <= n))
-            for l in self.letters
-        ):
-            for l in self.letters:
-                if l.alphabet != first:
-                    raise DomainError("word mixes elementary and AB letters")
-                if first == ELEMENTARY and (l.i > n or l.j > n):
-                    raise InvalidGeneratorError(
-                        f"letter {l.token()} exceeds dimension {n}"
-                    )
+        # only elementary letters have indices to check against the dimension
+        n = self.n if first == ELEMENTARY else float("inf")
+        for l in self.letters:
+            if l.alphabet != first:
+                raise DomainError("word mixes elementary and AB letters")
+            if l.i > n or l.j > n:
+                raise InvalidGeneratorError(f"letter {l.token()} exceeds dimension {n}")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -189,6 +189,12 @@ def test_ab_matrix_corner_sign():
         assert b * binv == MatZ.identity(n)
     assert ab_matrix(4, "A") == elementary_matrix(4, 1, 2)
     assert ab_matrix(4, "A", -1) == elementary_matrix(4, 1, 2, -1)
+    with pytest.raises(DomainError, match="dimension >= 2"):
+        ab_matrix(1, "A")
+    with pytest.raises(InvalidGeneratorError, match="must be A or B"):
+        ab_matrix(3, "C")
+    with pytest.raises(InvalidGeneratorError, match="exponent must be"):
+        ab_matrix(3, "B", 2)
 
 
 def test_letter_matrix_z_matches_explicit():
@@ -224,6 +230,13 @@ def test_word_boundary_checks_still_raise():
         ab * elementary
     with pytest.raises(ParseError):
         parse_word_text("e(1,4)", 3)
+    # one pass in letter order, the alphabet tested before the dimension
+    with pytest.raises(InvalidGeneratorError, match="exceeds dimension 3"):
+        Word(3, (eletter(1, 4), abletter("A")))
+    with pytest.raises(DomainError, match="mixes elementary and AB"):
+        Word(3, (abletter("A"), eletter(1, 4)))
+    with pytest.raises(DomainError, match="cannot concatenate words of dimension 3 and 4"):
+        elementary * Word(4, (eletter(1, 4),))
     # an empty factor takes either alphabet
     assert (Word(3) * ab).letters == ab.letters
     assert (elementary * Word(3)).letters == elementary.letters
@@ -244,6 +257,10 @@ def test_word_basics():
     assert w.tokens() == "e(1,2) e(2,3)^-1"
     v = Word(3, (eletter(3, 1),))
     assert (w * v).letters == w.letters + v.letters
+    assert repr(w) == "Word(n=3, 'e(1,2) e(2,3)^-1')"
+    # past eight letters the repr shows the length and the first eight
+    long = Word(3, (eletter(1, 2),) * 8 + (eletter(3, 1),))
+    assert repr(long) == "Word(n=3, len=9, '" + "e(1,2) " * 7 + "e(1,2) ...')"
 
 
 def test_word_inverse_reverses_and_negates():
@@ -439,6 +456,8 @@ def test_matfp_validation():
         MatFp(2, 5, ((1, 7), (0, 1)))
     with pytest.raises(DomainError):
         MatFp(2, 5, ((1, -1), (0, 1)))
+    with pytest.raises(DomainError, match="do not form an 2x2 square"):
+        MatFp(2, 5, ((1, 0), (0,)))
     m = MatFp.from_rows([[6, -1], [0, 1]], 5)
     assert m.rows == ((1, 4), (0, 1))
     assert m.key() == (1, 4, 0, 1)

@@ -204,6 +204,8 @@ def test_random_sl_fp_lands_in_the_group():
         assert determinant_fp(m) == 1
         seen.add(m.key())
     assert len(seen) > 30  # draws are spread out, not a fixed point
+    with pytest.raises(DomainError, match="dimension >= 2"):
+        random_sl_fp(1, 5, rng)
 
 
 def test_report_exhaustive_sl3_f2():

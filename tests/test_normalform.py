@@ -90,6 +90,20 @@ def test_column_clear_second_column_needs_cleared_first():
         run_phase(MatZ.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), RowReducer.clear_column, 2)
 
 
+def test_engine_guards_name_what_is_wrong():
+    clear, check = RowReducer.clear_column, RowReducer.check_identity
+    cases = [
+        ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], clear, (1,), InternalStateError, "gcd of column 1 is 2"),
+        ([[0, 1, 0], [0, 0, 1], [0, 1, 1]], clear, (1,), InternalStateError, "column 1 is zero"),
+        ([[1, 0, 0], [1, 1, 0], [0, 0, 1]], clear, (2,), InternalStateError, "column 1 is not cleared"),
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], check, (), InternalStateError, "did not reach the identity"),
+        ([[1, 0], [0, 1]], clear, (1,), UnsupportedDimensionError, "dimension >= 3"),
+    ]
+    for rows, phase, args, error, message in cases:
+        with pytest.raises(error, match=message):
+            phase(RowReducer(rows), *args)
+
+
 def test_sign_fix_pairs_of_negative_pivots():
     cases = [
         [[-1, 0, 0], [0, -1, 0], [0, 0, 1]],
