@@ -10,7 +10,7 @@ the packed state, and each distance level is an array of packed states.
 """
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .core import AB, ELEMENTARY, abletter, eletter, is_prime
@@ -199,9 +199,10 @@ def bfs_distance_map(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = D
     return {decode(c): d for d, level in enumerate(levels) for c in level}
 
 
-@dataclass(frozen=True)
-class DiameterReport:
+class DiameterReport(namedtuple("DiameterReport", "n p alphabet order diameter histogram")):
     """Eccentricity of the identity in a finite Cayley graph."""
+
+    __slots__ = ()
 
     n: int
     p: int

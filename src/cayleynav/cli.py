@@ -14,7 +14,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 
 from .abwords import eij_ab_word, rewrite_word_ab
 from .bfs import DEFAULT_BUDGET, bfs_ball_sl2z, bfs_diameter
@@ -178,7 +177,7 @@ def cmd_fp_report(args) -> int:
         f"{report.max_length},{report.mean_length:.3f},{report.normalized_max:.3f},"
         f"{report.bound:.3f},{report.c_const},{seed}"
     )
-    _emit(args, asdict(report), text)
+    _emit(args, report._asdict(), text)
     return 0
 
 
@@ -209,7 +208,7 @@ def cmd_ab_table(args) -> int:
 
 def cmd_bfs_diameter(args) -> int:
     rep = bfs_diameter(args.n, args.p, args.alphabet, args.budget)
-    payload = asdict(rep)
+    payload = rep._asdict()
     hist = " ".join(f"{d}:{c}" for d, c in sorted(rep.histogram.items()))
     text = (
         f"SL_{rep.n}(F_{rep.p}) over {args.alphabet}: order={rep.order} "

@@ -17,16 +17,20 @@ uses slots of width w = b + K + 1, which no entry can outgrow (the
 argument is in _eval_rows), and between blocks the rows are unpacked and
 reduced mod p.
 
-A Word is validated once, where its letters come from outside: Word(...)
-checks that every letter fits the dimension and that one alphabet is used,
-which covers parsing, user code and tests.  Words the library builds from
-letters valid by construction (engine outputs, compressed chunks, A/B
-rewrites, and the inverse, product or free reduction of checked words) go
-through _word, which skips that per-letter pass; a product still compares
-the two alphabets.
+GenLetter, Word, MatZ and MatFp are immutable slotted classes whose
+constructors check their fields, and each compares equal only to objects
+of its own class.  They are deliberately not tuples, so Word + Word and
+len(MatZ) stay errors rather than a concatenation and a 2.
+
+A Word is validated once, where its letters come from outside: the Word
+constructor checks that every letter fits the dimension and that one
+alphabet is used, which covers parsing, user code and tests.  Words the
+library builds from letters valid by construction (engine outputs,
+compressed chunks, A/B rewrites, and the inverse, product or free
+reduction of checked words) go through _word, which skips the constructor
+and its per-letter pass; a product still compares the two alphabets.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InternalStateError, InvalidGeneratorError
@@ -35,29 +39,65 @@ ELEMENTARY = "elementary"
 AB = "ab"
 
 
-@dataclass(frozen=True, slots=True)
-class GenLetter:
+class _Frozen:
+    """Base of the value types: fields are set once, by __init__ or _word.
+
+    Each subclass names its fields in __slots__, in constructor order, which
+    the repr and pickling follow, and defines __eq__ and __hash__ on them.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which checks the fields again
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+_set = object.__setattr__  # how __init__ and _word set a field past __setattr__
+
+
+class GenLetter(_Frozen):
     """A single generator symbol with exponent +1 or -1."""
 
-    alphabet: str
-    e: int
-    i: int = 0
-    j: int = 0
-    sym: str = ""
+    __slots__ = ("alphabet", "e", "i", "j", "sym")
 
-    def __post_init__(self):
-        if self.e not in (1, -1):
-            raise InvalidGeneratorError(f"letter exponent must be +1 or -1, got {self.e}")
-        if self.alphabet == ELEMENTARY:
-            if self.i < 1 or self.j < 1:
-                raise InvalidGeneratorError(f"indices must be 1-based, got ({self.i},{self.j})")
-            if self.i == self.j:
-                raise InvalidGeneratorError(f"e({self.i},{self.j}) needs i != j")
-        elif self.alphabet == AB:
-            if self.sym not in ("A", "B"):
-                raise InvalidGeneratorError(f"AB symbol must be A or B, got {self.sym!r}")
+    def __init__(self, alphabet: str, e: int, i: int = 0, j: int = 0, sym: str = ""):
+        if e not in (1, -1):
+            raise InvalidGeneratorError(f"letter exponent must be +1 or -1, got {e}")
+        if alphabet == ELEMENTARY:
+            if i < 1 or j < 1:
+                raise InvalidGeneratorError(f"indices must be 1-based, got ({i},{j})")
+            if i == j:
+                raise InvalidGeneratorError(f"e({i},{j}) needs i != j")
+        elif alphabet == AB:
+            if sym not in ("A", "B"):
+                raise InvalidGeneratorError(f"AB symbol must be A or B, got {sym!r}")
         else:
-            raise InvalidGeneratorError(f"unknown alphabet {self.alphabet!r}")
+            raise InvalidGeneratorError(f"unknown alphabet {alphabet!r}")
+        _set(self, "alphabet", alphabet)
+        _set(self, "e", e)
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "sym", sym)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.e, self.i, self.j, self.sym) == (
+                other.alphabet, other.e, other.i, other.j, other.sym)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.e, self.i, self.j, self.sym))
 
     def inverse(self) -> "GenLetter":
         if self.alphabet == ELEMENTARY:
@@ -89,26 +129,33 @@ def abletter(sym: str, e: int = 1) -> GenLetter:
     return _letter(AB, e, 0, 0, sym)
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(_Frozen):
     """An immutable word over one generator alphabet in dimension n."""
 
-    n: int
-    letters: tuple[GenLetter, ...] = ()
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"word dimension must be at least 2, got {self.n}")
-        if not self.letters:
-            return
-        first = self.letters[0].alphabet
-        # only elementary letters have indices to check against the dimension
-        n = self.n if first == ELEMENTARY else float("inf")
-        for l in self.letters:
-            if l.alphabet != first:
-                raise DomainError("word mixes elementary and AB letters")
-            if l.i > n or l.j > n:
-                raise InvalidGeneratorError(f"letter {l.token()} exceeds dimension {n}")
+    def __init__(self, n: int, letters: tuple[GenLetter, ...] = ()):
+        if n < 2:
+            raise DomainError(f"word dimension must be at least 2, got {n}")
+        if letters:
+            first = letters[0].alphabet
+            # only elementary letters have indices to check against the dimension
+            bound = n if first == ELEMENTARY else float("inf")
+            for l in letters:
+                if l.alphabet != first:
+                    raise DomainError("word mixes elementary and AB letters")
+                if l.i > bound or l.j > bound:
+                    raise InvalidGeneratorError(f"letter {l.token()} exceeds dimension {bound}")
+        _set(self, "n", n)
+        _set(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.letters) == (other.n, other.letters)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -151,28 +198,36 @@ class Word:
 
 
 def _word(n: int, letters: tuple[GenLetter, ...]) -> Word:
-    """A Word built without __post_init__, for letters valid by construction.
+    """A Word built without the constructor's check, for letters valid by construction.
 
     Only for letters of one alphabet that fit dimension n >= 2 because the
     library made them so: engine output, compressed chunks, and inverses,
     products and free reductions of words that were already checked.
     """
     w = object.__new__(Word)
-    object.__setattr__(w, "n", n)
-    object.__setattr__(w, "letters", letters)
+    _set(w, "n", n)
+    _set(w, "letters", letters)
     return w
 
 
-@dataclass(frozen=True)
-class MatZ:
+class MatZ(_Frozen):
     """Immutable integer matrix, stored as a tuple of row tuples."""
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise DomainError(f"matrix rows do not form an {self.n}x{self.n} square")
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise DomainError(f"matrix rows do not form an {n}x{n} square")
+        _set(self, "n", n)
+        _set(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rows) == (other.n, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
 
     @classmethod
     def identity(cls, n: int) -> "MatZ":
@@ -200,21 +255,29 @@ class MatZ:
         return tuple(x for row in self.rows for x in row)
 
 
-@dataclass(frozen=True)
-class MatFp:
+class MatFp(_Frozen):
     """Immutable matrix over the prime field F_p, entries stored in [0, p)."""
 
-    n: int
-    p: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "p", "rows")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"modulus {self.p} is not prime")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise DomainError(f"matrix rows do not form an {self.n}x{self.n} square")
-        if any(x < 0 or x >= self.p for row in self.rows for x in row):
-            raise DomainError(f"entries must be residues in [0, {self.p})")
+    def __init__(self, n: int, p: int, rows: tuple[tuple[int, ...], ...]):
+        if not is_prime(p):
+            raise DomainError(f"modulus {p} is not prime")
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise DomainError(f"matrix rows do not form an {n}x{n} square")
+        if any(x < 0 or x >= p for row in rows for x in row):
+            raise DomainError(f"entries must be residues in [0, {p})")
+        _set(self, "n", n)
+        _set(self, "p", p)
+        _set(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.p, self.rows) == (other.n, other.p, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p, self.rows))
 
     @classmethod
     def identity(cls, n: int, p: int) -> "MatFp":

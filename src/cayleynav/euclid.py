@@ -12,7 +12,7 @@ source, so the letter count is logarithmic in the entry size.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import ELEMENTARY, Word, _word, eletter
 from .errors import BudgetExceededError, DomainError
@@ -22,18 +22,20 @@ DEFAULT_K = 40
 SUBTRACTIVE_STEP_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class QuotientStep:
+class QuotientStep(namedtuple("QuotientStep", "target source multiple")):
     """One move a_target += multiple * a_source, indices 1-based."""
+
+    __slots__ = ()
 
     target: int
     source: int
     multiple: int
 
 
-@dataclass(frozen=True)
-class EuclidTrace:
+class EuclidTrace(namedtuple("EuclidTrace", "initial steps final")):
     """Full record of a subtractive reduction, one step per run of unit moves."""
+
+    __slots__ = ()
 
     initial: tuple[int, ...]
     steps: tuple[QuotientStep, ...]
@@ -117,14 +119,15 @@ def replay_word_on_tuple(w: Word, entries) -> tuple[int, ...]:
     return tuple(vals)
 
 
-@dataclass(frozen=True)
-class AcceleratedResult:
+class AcceleratedResult(namedtuple("AcceleratedResult", "word initial final quotient_steps")):
     """Outcome of an accelerated reduction.
 
     word evaluates to the premultiplier taking initial to final;
     quotient_steps lists the same moves in temporal order, one entry per
     target of each batch, for O(n) net-effect application.
     """
+
+    __slots__ = ()
 
     word: Word
     initial: tuple[int, ...]

@@ -7,7 +7,7 @@ k >= 2 with gaps of at least 2, which makes them unique.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -26,9 +26,10 @@ def fib(n: int) -> int:
     return _fib_table(0, n)[n]
 
 
-@dataclass(frozen=True)
-class ZeckendorfDecomposition:
+class ZeckendorfDecomposition(namedtuple("ZeckendorfDecomposition", "m indices")):
     """m written as a sum of non-consecutive Fibonacci numbers F_k, k >= 2."""
+
+    __slots__ = ()
 
     m: int
     indices: tuple[int, ...]

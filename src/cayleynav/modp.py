@@ -18,8 +18,7 @@ measuring the exhaustive and sampled reports in the test grid.
 """
 
 import math
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bfs import DEFAULT_BUDGET, bfs_distance_map, sl_group_order
 from .core import MatFp, Word, _word, determinant_fp, inverse_mod
@@ -50,7 +49,7 @@ def length_bound_modp(n: int, p: int) -> float:
     return DEFAULT_C * (n * n * math.log(p))
 
 
-def random_sl_fp(n: int, p: int, rng: random.Random) -> MatFp:
+def random_sl_fp(n: int, p: int, rng: "random.Random") -> MatFp:
     """Uniform element of SL_n(F_p): random invertible, first row rescaled."""
     if n < 2:
         raise DomainError(f"need dimension >= 2, got {n}")
@@ -65,14 +64,18 @@ def random_sl_fp(n: int, p: int, rng: random.Random) -> MatFp:
     return MatFp(n, p, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class FpReport:
+class FpReport(namedtuple(
+    "FpReport",
+    "n p order mode count max_length mean_length normalized_max bound c_const seed",
+)):
     """Word-length statistics for SL_n(F_p), exhaustive or sampled.
 
     normalized_max is max_length / (n^2 ln p); comparing it against c_const
     checks the length bound, and comparing it across a grid of (n, p)
     checks that the normalization is the right one.
     """
+
+    __slots__ = ()
 
     n: int
     p: int
@@ -111,6 +114,8 @@ def diameter_upper_bound_report(
     else:
         if samples < 1:
             raise DomainError(f"need at least one sample, got {samples}")
+        import random  # only sampling needs it; keeps it out of the package import
+
         rng = random.Random(seed)
         for _ in range(samples):
             lengths.append(len(word_for_modp(random_sl_fp(n, p, rng))))

@@ -25,7 +25,7 @@ largest entry met after every row operation (peak_norm) and the
 per-column sup norms; neither affects correctness.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import MatZ, Word, _word, determinant
 from .errors import NotInGroupError, UnsupportedDimensionError
@@ -91,8 +91,7 @@ def _lll_reduce(red: RowReducer) -> list[int]:
     return perm
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
+class NormalFormResult(namedtuple("NormalFormResult", "word phase_lengths column_norms peak_norm")):
     """Word for a unimodular matrix plus per-phase diagnostics.
 
     phase_lengths counts letters as (column, sign, upper): column clearing
@@ -105,6 +104,8 @@ class NormalFormResult:
     counts as one operation, and so does each of the three row operations
     of a signed swap.
     """
+
+    __slots__ = ()
 
     word: Word
     phase_lengths: tuple[int, int, int]

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -349,11 +350,21 @@ def test_cli_fp_report_csv(capsys):
 
 def test_cli_fp_report_json(capsys):
     rc, out, _ = run(capsys, "fp-report", "3", "2", "--exhaustive", "--json")
-    payload = json.loads(out)
-    assert payload["mode"] == "exhaustive"
-    assert payload["count"] == 168
-    assert payload["max_length"] == 10
-    assert payload["seed"] is None
+    norm = 3 * 3 * math.log(2)
+    # every field of the report, and nothing else; SL_3(F_2) has 168 elements
+    assert json.loads(out) == {
+        "n": 3,
+        "p": 2,
+        "order": 168,
+        "mode": "exhaustive",
+        "count": 168,
+        "max_length": 10,
+        "mean_length": 812 / 168,
+        "normalized_max": 10 / norm,
+        "bound": 12.0 * norm,
+        "c_const": 12.0,
+        "seed": None,
+    }
 
 
 def test_cli_rewrite_ab(capsys):
@@ -396,9 +407,15 @@ def test_cli_bfs_diameter(capsys):
 
 def test_cli_bfs_diameter_json(capsys):
     rc, out, _ = run(capsys, "bfs-diameter", "2", "2", "--json")
-    payload = json.loads(out)
-    assert payload["diameter"] == 3
-    assert payload["order"] == 6
+    # JSON object keys are strings, so the histogram's distances print as "0", "1", ...
+    assert json.loads(out) == {
+        "n": 2,
+        "p": 2,
+        "alphabet": "elementary",
+        "order": 6,
+        "diameter": 3,
+        "histogram": {"0": 1, "1": 2, "2": 2, "3": 1},
+    }
 
 
 def test_cli_sl2_lowerbound(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from functools import reduce
@@ -30,7 +31,8 @@ from cayleynav.core import (
     sup_norm,
 )
 from cayleynav.errors import DomainError, InternalStateError, InvalidGeneratorError, ParseError
-from cayleynav.fibonacci import fib
+from cayleynav.euclid import QuotientStep
+from cayleynav.fibonacci import fib, zeckendorf
 from cayleynav.formats import parse_word_text
 
 
@@ -261,6 +263,33 @@ def test_word_basics():
     # past eight letters the repr shows the length and the first eight
     long = Word(3, (eletter(1, 2),) * 8 + (eletter(3, 1),))
     assert repr(long) == "Word(n=3, len=9, '" + "e(1,2) " * 7 + "e(1,2) ...')"
+
+
+def test_value_types_compare_hash_freeze_and_print_by_field():
+    pairs = [
+        (GenLetter(ELEMENTARY, 1, 1, 2), eletter(1, 2), "e"),
+        (GenLetter(AB, -1, sym="B"), abletter("B", -1), "sym"),
+        (Word(3, (GenLetter(ELEMENTARY, -1, 2, 3),)), Word(3, (eletter(2, 3, -1),)), "letters"),
+        (MatZ.from_rows([[1, 2], [0, 1]]), MatZ(2, ((1, 2), (0, 1))), "rows"),
+        (MatFp.from_rows([[1, 7], [0, 1]], 5), MatFp(2, 5, ((1, 2), (0, 1))), "p"),
+    ]
+    for a, b, field in pairs:
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+    # equality never crosses classes, even between equal entries
+    assert MatZ.identity(3) != MatFp.identity(3, 5)
+    assert MatZ.identity(2) != ((1, 0), (0, 1))
+    assert eletter(1, 2) != eletter(1, 2, -1)
+    assert Word(3) != Word(4)
+    assert repr(eletter(1, 2)) == "GenLetter(alphabet='elementary', e=1, i=1, j=2, sym='')"
+    assert repr(abletter("B", -1)) == "GenLetter(alphabet='ab', e=-1, i=0, j=0, sym='B')"
+    assert repr(MatZ.identity(3)) == "MatZ(n=3, rows=((1, 0, 0), (0, 1, 0), (0, 0, 1)))"
+    assert repr(MatFp.identity(2, 5)) == "MatFp(n=2, p=5, rows=((1, 0), (0, 1)))"
+    assert repr(QuotientStep(1, 2, 3)) == "QuotientStep(target=1, source=2, multiple=3)"
+    assert repr(zeckendorf(100)) == "ZeckendorfDecomposition(m=100, indices=(4, 6, 11))"
 
 
 def test_word_inverse_reverses_and_negates():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import cayleynav
 from cayleynav import abwords, bfs, compression, core, euclid, formats, modp, normalform
 
@@ -64,3 +68,17 @@ def test_public_surface():
         (formats, "format_word_text"),
     ):
         assert not hasattr(module, name), name
+
+
+def test_import_loads_no_introspection_or_random_modules():
+    # a fresh interpreter without site, so that only the package's own imports count
+    code = (
+        "import sys, cayleynav; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'random'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(cayleynav.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
