@@ -10,49 +10,69 @@ exhaustive search oracles supply exact distances on small groups.
 The package namespace holds the pipeline: letters, words and matrices,
 the word builders, their evaluators, A/B rewriting, the diameter oracle
 and the error classes.  Everything else is imported from its submodule.
+
+The namespace is lazy (PEP 562).  `import cayleynav` loads only the
+errors submodule.  Every public name, and every submodule name
+(`cayleynav.bfs`, ...), is looked up in its submodule on each access,
+which imports that submodule the first time.  A resolved name is not kept
+in the package, so the package always shows what the submodule holds at
+the time, a function patched there included.
 """
 
-from .abwords import eij_ab_word, rewrite_word_ab
-from .bfs import bfs_diameter
-from .compression import compress_power
-from .core import AB, ELEMENTARY, MatFp, MatZ, Word, eletter, eval_word_fp, eval_word_z
-from .errors import (
-    BudgetExceededError,
-    CayleyNavError,
-    DomainError,
-    InternalStateError,
-    InvalidGeneratorError,
-    NotInGroupError,
-    ParseError,
-    UnsupportedDimensionError,
-)
-from .modp import word_for_modp
-from .normalform import normal_form, normal_form_result
+import sys
+
+from . import errors  # eager: every submodule and the CLI use it
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AB",
-    "BudgetExceededError",
-    "CayleyNavError",
-    "DomainError",
-    "ELEMENTARY",
-    "InternalStateError",
-    "InvalidGeneratorError",
-    "MatFp",
-    "MatZ",
-    "NotInGroupError",
-    "ParseError",
-    "UnsupportedDimensionError",
-    "Word",
-    "bfs_diameter",
-    "compress_power",
-    "eij_ab_word",
-    "eletter",
-    "eval_word_fp",
-    "eval_word_z",
-    "normal_form",
-    "normal_form_result",
-    "rewrite_word_ab",
-    "word_for_modp",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(
+        ("AB", "ELEMENTARY", "MatFp", "MatZ", "Word", "eletter", "eval_word_fp", "eval_word_z"),
+        "core",
+    ),
+    **dict.fromkeys(("normal_form", "normal_form_result"), "normalform"),
+    **dict.fromkeys(("eij_ab_word", "rewrite_word_ab"), "abwords"),
+    "compress_power": "compression",
+    "word_for_modp": "modp",
+    "bfs_diameter": "bfs",
+    **dict.fromkeys(
+        (
+            "BudgetExceededError",
+            "CayleyNavError",
+            "DomainError",
+            "InternalStateError",
+            "InvalidGeneratorError",
+            "NotInGroupError",
+            "ParseError",
+            "UnsupportedDimensionError",
+        ),
+        "errors",
+    ),
+}
+
+_SUBMODULES = frozenset(
+    ("abwords", "bfs", "cli", "compression", "core", "euclid", "fibonacci", "formats", "modp",
+     "normalform", "rowreduce")
+)
+
+__all__ = sorted(_HOME)
+
+
+def _submodule(name: str):
+    full = f"{__name__}.{name}"
+    __import__(full)
+    return sys.modules[full]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _submodule(name)
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_submodule(home), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | set(__all__))

@@ -13,24 +13,11 @@ from array import array
 from collections import namedtuple
 from itertools import product
 
-from .core import AB, ELEMENTARY, abletter, eletter, is_prime
-from .errors import BudgetExceededError, DomainError, InternalStateError
+from .core import AB, ELEMENTARY, abletter, eletter, sl_group_order
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError, InternalStateError
 from .fibonacci import fib
 
-DEFAULT_BUDGET = 10_000_000
 SL2_RADIUS_LIMIT = 14
-
-
-def sl_group_order(n: int, p: int) -> int:
-    """|SL_n(F_p)| = p^(n(n-1)/2) * prod_{k=2..n} (p^k - 1)."""
-    if n < 2:
-        raise DomainError(f"group order needs dimension >= 2, got {n}")
-    if not is_prime(p):
-        raise DomainError(f"modulus {p} is not prime")
-    order = p ** (n * (n - 1) // 2)
-    for k in range(2, n + 1):
-        order *= p**k - 1
-    return order
 
 
 def generator_letters(n: int, alphabet: str = ELEMENTARY) -> list:

@@ -6,25 +6,20 @@ errors (wrong determinant, unsupported dimension, bad indices),
 4 exhausted budgets, 5 any other exception (an internal error,
 reported on one line), 141 stdout closed by its reader (no message).
 Logarithms in reported bounds and ratios are natural.
+
+Each subcommand imports the modules it uses when it runs, and the parser
+imports none, so a process compiles only what its subcommand needs.
 """
 
+from __future__ import annotations
+
 import argparse
-import json
 import math
 import os
 import re
 import sys
 
-from .abwords import eij_ab_word, rewrite_word_ab
-from .bfs import DEFAULT_BUDGET, bfs_ball_sl2z, bfs_diameter
-from .compression import compress_power
-from .core import MatFp, MatZ, eval_word_fp, eval_word_z, is_prime, least_abs_residue, sup_norm
-from .errors import BudgetExceededError, CayleyNavError, DomainError, ParseError
-from .euclid import DEFAULT_K, accelerated_reduce, step_bound, subtractive_gcd
-from .fibonacci import zeckendorf, zeckendorf_length_bound
-from .formats import parse_matrix_text, parse_word_text, word_to_json
-from .modp import diameter_upper_bound_report, word_for_modp
-from .normalform import normal_form_result
+from .errors import DEFAULT_BUDGET, BudgetExceededError, CayleyNavError, DomainError, ParseError
 
 
 def _read_text(path: str) -> str:
@@ -40,6 +35,9 @@ def _read_text(path: str) -> str:
 
 def _read_matrix(text: str, kind: type) -> MatZ | MatFp:
     """Parse matrix text, refusing a matrix that is not of kind, MatZ or MatFp."""
+    from .core import MatFp
+    from .formats import parse_matrix_text
+
     m = parse_matrix_text(text)
     if not isinstance(m, kind):
         raise ParseError(
@@ -51,12 +49,19 @@ def _read_matrix(text: str, kind: type) -> MatZ | MatFp:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
 
 
 def cmd_compress(args) -> int:
+    from .compression import compress_power
+    from .core import is_prime, least_abs_residue
+    from .fibonacci import zeckendorf_length_bound
+    from .formats import word_to_json
+
     m = args.m
     if args.modp is not None:
         if not is_prime(args.modp):
@@ -70,6 +75,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_zeckendorf(args) -> int:
+    from .fibonacci import zeckendorf
+
     z = zeckendorf(args.m)
     payload = {"m": args.m, "indices": list(z.indices), "summands": list(z.summands())}
     text = f"{args.m} = " + " + ".join(f"F_{k}" for k in z.indices)
@@ -79,6 +86,8 @@ def cmd_zeckendorf(args) -> int:
 
 
 def cmd_gcd(args) -> int:
+    from .euclid import DEFAULT_K, accelerated_reduce, step_bound, subtractive_gcd
+
     entries = tuple(args.entries)
     trace = subtractive_gcd(entries)
     k = len(entries) if args.active is None else args.active
@@ -117,6 +126,8 @@ def cmd_gcd(args) -> int:
 
 def _normal_form(m: MatZ):
     """normal_form_result(m) and the record fields both normal-form modes report."""
+    from .normalform import normal_form_result
+
     res = normal_form_result(m)
     fields = {
         "length": len(res.word),
@@ -128,6 +139,9 @@ def _normal_form(m: MatZ):
 
 
 def cmd_normal_form(args) -> int:
+    from .core import MatZ, sup_norm
+    from .formats import word_to_json
+
     text = _read_text(args.path)
     if not args.stats:
         res, payload = _normal_form(_read_matrix(text, MatZ))
@@ -154,6 +168,10 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_reduce_modp(args) -> int:
+    from .core import MatFp
+    from .formats import word_to_json
+    from .modp import word_for_modp
+
     m = _read_matrix(_read_text(args.path), MatFp)
     w = word_for_modp(m)
     payload = {"length": len(w), "p": m.p, "word": word_to_json(w)}
@@ -162,6 +180,8 @@ def cmd_reduce_modp(args) -> int:
 
 
 def cmd_fp_report(args) -> int:
+    from .modp import diameter_upper_bound_report
+
     report = diameter_upper_bound_report(
         args.n,
         args.p,
@@ -182,6 +202,9 @@ def cmd_fp_report(args) -> int:
 
 
 def cmd_rewrite_ab(args) -> int:
+    from .abwords import rewrite_word_ab
+    from .formats import parse_word_text, word_to_json
+
     text = " ".join(args.tokens) if args.tokens else _read_text("-")
     w = parse_word_text(text, args.n)
     out = rewrite_word_ab(w)
@@ -191,6 +214,8 @@ def cmd_rewrite_ab(args) -> int:
 
 
 def cmd_ab_table(args) -> int:
+    from .abwords import eij_ab_word
+
     if args.n < 2:
         raise DomainError(f"dimension must be at least 2, got {args.n}")
     rows = []
@@ -207,6 +232,8 @@ def cmd_ab_table(args) -> int:
 
 
 def cmd_bfs_diameter(args) -> int:
+    from .bfs import bfs_diameter
+
     rep = bfs_diameter(args.n, args.p, args.alphabet, args.budget)
     payload = rep._asdict()
     hist = " ".join(f"{d}:{c}" for d, c in sorted(rep.histogram.items()))
@@ -219,6 +246,8 @@ def cmd_bfs_diameter(args) -> int:
 
 
 def cmd_sl2_lowerbound(args) -> int:
+    from .bfs import bfs_ball_sl2z
+
     ball = bfs_ball_sl2z(args.radius)
     dists = {}
     lines = [f"ball size at radius {args.radius}: {len(ball)}"]
@@ -232,6 +261,9 @@ def cmd_sl2_lowerbound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .core import MatFp, eval_word_fp, eval_word_z
+    from .formats import parse_matrix_text, parse_word_text
+
     # the word comes from --word, else from the tokens, else from stdin
     word_path = args.word if args.word is not None else (None if args.tokens else "-")
     if args.matrix == "-" and word_path == "-":

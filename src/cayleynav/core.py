@@ -505,11 +505,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the first 13 prime bases.
 
     Exact for n < 3 317 044 064 679 887 385 961 981; larger n raise
-    DomainError rather than risk a strong pseudoprime.
+    DomainError rather than risk a strong pseudoprime.  Verdicts are
+    memoized, since every MatFp checks its modulus; a refusal is not, so
+    it is raised on every call.
     """
     if n < 2:
         return False
@@ -534,3 +537,15 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def sl_group_order(n: int, p: int) -> int:
+    """|SL_n(F_p)| = p^(n(n-1)/2) * prod_{k=2..n} (p^k - 1)."""
+    if n < 2:
+        raise DomainError(f"group order needs dimension >= 2, got {n}")
+    if not is_prime(p):
+        raise DomainError(f"modulus {p} is not prime")
+    order = p ** (n * (n - 1) // 2)
+    for k in range(2, n + 1):
+        order *= p**k - 1
+    return order

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default state budget.
+
+DEFAULT_BUDGET lives here rather than in bfs, its main user, so that the
+CLI parser and modp can read it without loading the search.
+"""
+
+DEFAULT_BUDGET = 10_000_000  # states any exhaustive search may visit
 
 
 class CayleyNavError(Exception):

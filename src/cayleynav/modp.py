@@ -20,9 +20,9 @@ measuring the exhaustive and sampled reports in the test grid.
 import math
 from collections import namedtuple
 
-from .bfs import DEFAULT_BUDGET, bfs_distance_map, sl_group_order
-from .core import MatFp, Word, _word, determinant_fp, inverse_mod
-from .errors import DomainError, NotInGroupError, UnsupportedDimensionError
+from . import core
+from .core import MatFp, Word, _word, inverse_mod, sl_group_order
+from .errors import DEFAULT_BUDGET, DomainError, NotInGroupError, UnsupportedDimensionError
 from .rowreduce import RowReducer
 
 DEFAULT_C = 12.0
@@ -33,7 +33,9 @@ def word_for_modp(m: MatFp) -> Word:
     n, p = m.n, m.p
     if n < 3:
         raise UnsupportedDimensionError(f"mod-p reduction needs dimension >= 3, got {n}")
-    if determinant_fp(m) != 1:
+    # read from core at each call: this module may be loaded after a tool
+    # has wrapped core's functions, and the wrapper should see the call
+    if core.determinant_fp(m) != 1:
         raise NotInGroupError("determinant is not 1 mod p")
     red = RowReducer([list(r) for r in m.rows], p)
     for col in range(1, n):
@@ -56,7 +58,7 @@ def random_sl_fp(n: int, p: int, rng: "random.Random") -> MatFp:
     while True:
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         m = MatFp(n, p, tuple(tuple(r) for r in rows))
-        d = determinant_fp(m)
+        d = core.determinant_fp(m)
         if d:
             break
     dinv = inverse_mod(d, p)
@@ -107,6 +109,8 @@ def diameter_upper_bound_report(
     order = sl_group_order(n, p)
     lengths = []
     if exhaustive:
+        from .bfs import bfs_distance_map  # only exhaustive mode searches
+
         for key in bfs_distance_map(n, p, budget=budget):
             mat = MatFp(n, p, tuple(key[r * n : (r + 1) * n] for r in range(n)))
             lengths.append(len(word_for_modp(mat)))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cayleynav
-from cayleynav.cli import main
+from cayleynav.cli import build_parser, main
 from cayleynav.core import (
     AB,
     ELEMENTARY,
@@ -615,3 +616,41 @@ def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
     capsys.readouterr()
+
+
+# SHA-256 of `cayley-nav [SUBCOMMAND] --help` at 80 columns; the lazy imports
+# of the subcommands left every byte of the help as it was
+HELP_DIGESTS = [
+    ([], "bf29794713a57e721b297dd720986c480a6a91e6c3e1c8ca64d7f994d50c9ff7"),
+    (["compress"], "41944f36508617af598b06e2646fd305f9aa7a2c9c10b1cbad9087195ca37ca6"),
+    (["zeckendorf"], "4cd45b67a1d1674f84cc3fb905fd10d44466a6979d7d03ecd0466fdae7cfdbc6"),
+    (["gcd"], "db597bcf59d226700f2a9a09c3c1c4a8fcd3a65f606d02dde81c7b8917194196"),
+    (["normal-form"], "6d70c31afb28f04c51e5c932fcf36aad28191a10b157a3aa5f677b1093284d31"),
+    (["reduce-modp"], "49dd6a7c2519812e2fc4bc3e22028a570ebf45aa17da873682f39a8bfa33db64"),
+    (["fp-report"], "7e75f5b2165a1700d78dc4327851fa7ed4e47748a9cdf60007d8dd93e24c211f"),
+    (["rewrite-ab"], "d0ac165c45078e3536612b26c5b33dbc4228523fb0a478cb0929cdd964bd2458"),
+    (["ab-table"], "4d50d15b01f84440e4bed4303412ee972090ba36134971c5f8a9f048c1c8fd2e"),
+    (["bfs-diameter"], "1121ea96f882cf7f5f3c10a599c90bef22866217187c5c0c6f0dcf382e9851bd"),
+    (["sl2-lowerbound"], "29674207cc1eda9084a8c0efe4d85ce5ffbbd0acb453d5175c98939bf10ed099"),
+    (["verify"], "8db0566cac68f1a140b5ba47b5a47c01c2179df97998f740f9737b734fd20c70"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", HELP_DIGESTS)
+def test_cli_help_is_unchanged(monkeypatch, capsys, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    text = capsys.readouterr().out
+    assert exc.value.code == 0
+    if not argv:
+        assert text == build_parser().format_help()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def test_cli_budget_defaults_are_the_search_budget():
+    from cayleynav.bfs import DEFAULT_BUDGET
+
+    parser = build_parser()
+    assert parser.parse_args(["bfs-diameter", "3", "2"]).budget == DEFAULT_BUDGET
+    assert parser.parse_args(["fp-report", "3", "5"]).budget == DEFAULT_BUDGET

@@ -561,3 +561,16 @@ def test_is_prime_refuses_beyond_its_exact_range():
     # just below the limit the answer is still given
     assert is_prime(3317044064679887385961980) is False
     assert is_prime(2**64 - 59)
+
+
+def test_is_prime_memoizes_verdicts_but_not_refusals():
+    p = 2**61 - 1
+    is_prime.cache_clear()
+    assert is_prime(p) and is_prime(p) and not is_prime(p + 2) and not is_prime(p + 2)
+    info = is_prime.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+    assert info.maxsize is not None  # bounded
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not decided exactly"):
+            is_prime(core._MR_LIMIT)
+    assert is_prime.cache_info().currsize == 2

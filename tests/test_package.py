@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import cayleynav
 from cayleynav import abwords, bfs, compression, core, euclid, formats, modp, normalform
 
@@ -82,3 +84,102 @@ def test_import_loads_no_introspection_or_random_modules():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+SRC = os.path.dirname(os.path.dirname(cayleynav.__file__))
+
+
+def fresh(code: str, *args: str, stdin: str = "") -> str:
+    """stdout of code run in a new interpreter without site, on this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        input=stdin, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+LOADED = "' '.join(sorted(m for m in sys.modules if m.startswith('cayleynav.') or m == 'json'))"
+
+
+def test_import_loads_only_the_errors_submodule():
+    out = fresh(f"import sys, cayleynav; print({LOADED})")
+    assert out.split() == ["cayleynav.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, used, unused",
+    [
+        (
+            ["bfs-diameter", "3", "2"],
+            "",
+            {"bfs"},
+            {"normalform", "modp", "euclid", "abwords", "rowreduce", "compression", "formats"},
+        ),
+        (["compress", "3", "1", "2", "100"], "", {"compression"}, {"bfs", "modp", "normalform"}),
+        (["reduce-modp", "-"], "3 7\n1 1 0\n0 1 0\n0 0 1\n", {"modp"}, {"bfs", "normalform"}),
+        (["zeckendorf", "100"], "", {"fibonacci"}, {"core"}),
+    ],
+)
+def test_cli_subcommand_loads_only_what_it_uses(argv, stdin, used, unused):
+    # the loaded modules go last on stdout, after the subcommand's own output
+    code = f"import sys; from cayleynav.cli import main; main(sys.argv[1:]); print({LOADED})"
+    loaded = set(fresh(code, *argv, stdin=stdin).splitlines()[-1].split())
+    assert "json" not in loaded  # only --json needs it
+    assert {f"cayleynav.{name}" for name in used} <= loaded
+    assert not {f"cayleynav.{name}" for name in unused} & loaded, sorted(loaded)
+
+
+def test_namespace_resolves_to_the_submodules_own_objects():
+    # a fresh process, so that every first access goes through the package's __getattr__
+    code = (
+        "import pkgutil, sys, cayleynav\n"
+        "subs = sorted(m.name for m in pkgutil.iter_modules(cayleynav.__path__))\n"
+        "for name in subs:\n"
+        "    assert getattr(cayleynav, name) is sys.modules['cayleynav.' + name], name\n"
+        "for name in cayleynav.__all__:\n"
+        "    obj = getattr(cayleynav, name)\n"
+        # AB and ELEMENTARY are plain strings, which core defines
+        "    home = sys.modules[getattr(obj, '__module__', 'cayleynav.core')]\n"
+        "    assert getattr(home, name) is obj, name\n"
+        "assert set(subs) | set(cayleynav.__all__) <= set(dir(cayleynav))\n"
+        "print(len(subs))\n"
+    )
+    assert fresh(code).strip() == "12"
+    assert cayleynav.AB is core.AB and cayleynav.ELEMENTARY is core.ELEMENTARY
+
+
+def test_unknown_names_raise_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'cayleynav' has no attribute 'nope'$"):
+        cayleynav.nope
+    assert not hasattr(cayleynav, "_word")
+    with pytest.raises(ImportError):
+        exec("from cayleynav import nope", {})
+
+
+def test_patched_submodule_function_is_seen_through_the_package(monkeypatch):
+    # a tracer wraps functions where their submodule holds them; the package
+    # keeps no binding of its own that would miss the wrapper
+    original = cayleynav.normal_form_result
+
+    def wrapper(m):
+        return original(m)
+
+    monkeypatch.setattr(normalform, "normal_form_result", wrapper)
+    assert cayleynav.normal_form_result is wrapper
+    monkeypatch.undo()
+    assert cayleynav.normal_form_result is original
+
+
+def test_modp_sees_a_determinant_wrapped_before_it_loads():
+    # a tracer wraps core's functions as soon as core is loaded; modp, loaded
+    # later by the lazy namespace, must still call through the wrapper
+    code = (
+        "from cayleynav import core\n"
+        "calls = []\n"
+        "original = core.determinant_fp\n"
+        "core.determinant_fp = lambda m: calls.append(m) or original(m)\n"
+        "from cayleynav.modp import word_for_modp\n"
+        "word_for_modp(core.MatFp.identity(3, 7))\n"
+        "print(len(calls))\n"
+    )
+    assert fresh(code).strip() == "1"
