@@ -8,9 +8,9 @@ words whose evaluations have an all-ones column, and stay short: every
 e(i, j) costs fewer than 10n letters.
 
 Words are spelled as letter codes A, B, B^-1, A^-1 = 0, 1, 2, 3, so the
-inverse of code c is 3 - c.  Rewriting caches each piece once more as the
-four shared letter objects and splices those into the output, so no
-output letter is ever converted from a code.
+inverse of code c is 3 - c.  Rewriting caches each piece once, in
+_spliced, as the four shared letter objects and splices those into the
+output, so no output letter is ever converted from a code.
 """
 
 from functools import lru_cache

@@ -149,6 +149,8 @@ def cmd_normal_form(args) -> int:
         _emit(args, payload, res.word.tokens())
         return 0
     blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
+    if not blocks:
+        raise ParseError("empty matrix input")
     rows = []
     lines = []
     for block in blocks:

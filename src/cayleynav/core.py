@@ -18,9 +18,11 @@ argument is in _eval_rows), and between blocks the rows are unpacked and
 reduced mod p.
 
 GenLetter, Word, MatZ and MatFp are immutable slotted classes whose
-constructors check their fields, and each compares equal only to objects
-of its own class.  They are deliberately not tuples, so Word + Word and
-len(MatZ) stay errors rather than a concatenation and a 2.
+constructors check their fields; the one base _Frozen derives equality
+(same class only), hashing, repr and pickling from each __slots__.  They
+are deliberately not tuples, so Word + Word and len(MatZ) stay errors
+rather than a concatenation and a 2.  Letters are interned by the one
+cache _letter, which eletter, abletter and GenLetter.inverse go through.
 
 A Word is validated once, where its letters come from outside: the Word
 constructor checks that every letter fits the dimension and that one
@@ -40,13 +42,23 @@ AB = "ab"
 
 
 class _Frozen:
-    """Base of the value types: fields are set once, by __init__ or _word.
+    """Base of the value types: one place turns __slots__ into value behaviour.
 
-    Each subclass names its fields in __slots__, in constructor order, which
-    the repr and pickling follow, and defines __eq__ and __hash__ on them.
+    Each subclass names its fields in __slots__, in constructor order, and
+    keeps only its constructor check and its own methods.  _fields is the
+    field tuple; equality (same class only), the hash, the repr and
+    pickling all follow it, and _init sets the fields once, in slot order,
+    past __setattr__.
     """
 
     __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -54,16 +66,21 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
     def __reduce__(self):
         # rebuilt through the constructor, which checks the fields again
-        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+        return self.__class__, self._fields()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{self.__class__.__name__}({fields})"
-
-
-_set = object.__setattr__  # how __init__ and _word set a field past __setattr__
 
 
 class GenLetter(_Frozen):
@@ -84,25 +101,10 @@ class GenLetter(_Frozen):
                 raise InvalidGeneratorError(f"AB symbol must be A or B, got {sym!r}")
         else:
             raise InvalidGeneratorError(f"unknown alphabet {alphabet!r}")
-        _set(self, "alphabet", alphabet)
-        _set(self, "e", e)
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "sym", sym)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alphabet, self.e, self.i, self.j, self.sym) == (
-                other.alphabet, other.e, other.i, other.j, other.sym)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.e, self.i, self.j, self.sym))
+        self._init(alphabet, e, i, j, sym)
 
     def inverse(self) -> "GenLetter":
-        if self.alphabet == ELEMENTARY:
-            return eletter(self.i, self.j, -self.e)
-        return abletter(self.sym, -self.e)
+        return _letter(self.alphabet, -self.e, self.i, self.j, self.sym)
 
     def token(self) -> str:
         base = f"e({self.i},{self.j})" if self.alphabet == ELEMENTARY else self.sym
@@ -111,19 +113,15 @@ class GenLetter(_Frozen):
 
 @lru_cache(maxsize=None)
 def _letter(alphabet: str, e: int, i: int, j: int, sym: str) -> GenLetter:
+    """The one letter cache: always called with every field, in slot order."""
     return GenLetter(alphabet, e, i, j, sym)
 
 
-# The caches below key on the arguments as spelled, so eletter(1, 2) and
-# eletter(1, 2, 1) are separate entries; both resolve to one object through
-# _letter, which is always called with every field in order.
-@lru_cache(maxsize=None)
 def eletter(i: int, j: int, e: int = 1) -> GenLetter:
     """Interned elementary letter e(i, j)^e."""
     return _letter(ELEMENTARY, e, i, j, "")
 
 
-@lru_cache(maxsize=None)
 def abletter(sym: str, e: int = 1) -> GenLetter:
     """Interned AB letter A^e or B^e."""
     return _letter(AB, e, 0, 0, sym)
@@ -146,16 +144,7 @@ class Word(_Frozen):
                     raise DomainError("word mixes elementary and AB letters")
                 if l.i > bound or l.j > bound:
                     raise InvalidGeneratorError(f"letter {l.token()} exceeds dimension {bound}")
-        _set(self, "n", n)
-        _set(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.letters) == (other.n, other.letters)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.letters))
+        self._init(n, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -205,8 +194,7 @@ def _word(n: int, letters: tuple[GenLetter, ...]) -> Word:
     products and free reductions of words that were already checked.
     """
     w = object.__new__(Word)
-    _set(w, "n", n)
-    _set(w, "letters", letters)
+    w._init(n, letters)
     return w
 
 
@@ -218,16 +206,7 @@ class MatZ(_Frozen):
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix rows do not form an {n}x{n} square")
-        _set(self, "n", n)
-        _set(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.rows) == (other.n, other.rows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        self._init(n, rows)
 
     @classmethod
     def identity(cls, n: int) -> "MatZ":
@@ -267,17 +246,7 @@ class MatFp(_Frozen):
             raise DomainError(f"matrix rows do not form an {n}x{n} square")
         if any(x < 0 or x >= p for row in rows for x in row):
             raise DomainError(f"entries must be residues in [0, {p})")
-        _set(self, "n", n)
-        _set(self, "p", p)
-        _set(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.p, self.rows) == (other.n, other.p, other.rows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, self.rows))
+        self._init(n, p, rows)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "MatFp":

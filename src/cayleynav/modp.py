@@ -106,6 +106,8 @@ def diameter_upper_bound_report(
     its max_length is a true diameter upper bound for the elementary Cayley
     graph.  Sampled mode draws uniform elements with the given seed.
     """
+    if n < 3:  # refused before any search or sample is spent
+        raise UnsupportedDimensionError(f"mod-p reduction needs dimension >= 3, got {n}")
     order = sl_group_order(n, p)
     lengths = []
     if exhaustive:

@@ -304,6 +304,14 @@ def test_cli_normal_form_stats_whitespace_separator(tmp_path, capsys):
     assert lines[1].startswith("n=3 norm=1 peak=1 length=0 ")
 
 
+def test_cli_normal_form_stats_refuses_blank_input(monkeypatch, capsys):
+    for text in ("", "\n", " \n\t\n\n"):
+        for extra in ((), ("--json",)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            rc, out, err = run(capsys, "normal-form", "--stats", *extra)
+            assert (rc, out, err) == (2, "", "error: empty matrix input\n")
+
+
 def test_cli_normal_form_rejects_modp_header(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("3 7\n1 0 0\n0 1 0\n0 0 1\n")

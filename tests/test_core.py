@@ -15,6 +15,7 @@ from cayleynav.core import (
     MatFp,
     MatZ,
     Word,
+    _word,
     ab_matrix,
     abletter,
     determinant,
@@ -270,6 +271,7 @@ def test_value_types_compare_hash_freeze_and_print_by_field():
         (GenLetter(ELEMENTARY, 1, 1, 2), eletter(1, 2), "e"),
         (GenLetter(AB, -1, sym="B"), abletter("B", -1), "sym"),
         (Word(3, (GenLetter(ELEMENTARY, -1, 2, 3),)), Word(3, (eletter(2, 3, -1),)), "letters"),
+        (_word(3, (eletter(2, 3, -1),)), Word(3, (eletter(2, 3, -1),)), "letters"),
         (MatZ.from_rows([[1, 2], [0, 1]]), MatZ(2, ((1, 2), (0, 1))), "rows"),
         (MatFp.from_rows([[1, 7], [0, 1]], 5), MatFp(2, 5, ((1, 2), (0, 1))), "p"),
     ]

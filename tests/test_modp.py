@@ -238,6 +238,13 @@ def test_report_budget_refusal():
         diameter_upper_bound_report(3, 101, exhaustive=True)
 
 
+def test_report_refuses_small_dimension_before_searching():
+    # SL_2(F_251) is over the state budget; the dimension is refused first
+    for exhaustive in (True, False):
+        with pytest.raises(UnsupportedDimensionError, match="dimension >= 3, got 2"):
+            diameter_upper_bound_report(2, 251, exhaustive=exhaustive)
+
+
 def test_report_rejects_empty_sample():
     with pytest.raises(DomainError):
         diameter_upper_bound_report(3, 7, samples=0)
