@@ -266,7 +266,9 @@ def cmd_verify(args) -> int:
     from .core import MatFp, eval_word_fp, eval_word_z
     from .formats import parse_matrix_text, parse_word_text
 
-    # the word comes from --word, else from the tokens, else from stdin
+    # the word comes from --word or from the tokens, else from stdin
+    if args.word is not None and args.tokens:
+        raise ParseError("the word comes from --word or from tokens, not both")
     word_path = args.word if args.word is not None else (None if args.tokens else "-")
     if args.matrix == "-" and word_path == "-":
         raise ParseError("the matrix and the word cannot both come from stdin")

@@ -9,19 +9,19 @@ every operation here insists on N >= 3.
 
 A chunk on the triple (i, aux, j) uses at most eight letters: top = e(i, j),
 mid = e(i, aux), t = e(aux, j), s = e(j, aux) and their inverses, made once
-per triple and cached.  The walk u lays the carried letters out level by
-level, jumping each gap between Zeckendorf indices with one repeated
-(t, s) block; the template carrying the single index k spells
-e(i, j)^F_k in 6 + 8 (k // 2) letters.  A negative exponent gets the
-inverse template laid out directly, t^-2 u^-1 (t s)^n t v^-1 (t s)^n t,
-so no letter is inverted one at a time.
+per triple and cached.  The walks u and v lay the carried letters out
+level by level, one (t, s) block per level step; the template carrying
+the single index k spells e(i, j)^F_k in 6 + 8 (k // 2) letters.  There
+is one layout: for a negative exponent t and s trade places with their
+inverses and the finished list is reversed, which is the inverse
+template letter for letter, so no letter is inverted one at a time.
 
 The unit of work is a batch, the product of e(i, j)^m_i over several
 targets i with one common source j.  Its factors commute, and the blocks
 touch only rows aux and j, so one template carries every target's
 letters: at each level of the shared walk each target places its own
-carried letter, e(i, j) or e(i, aux), and a target whose exponent has the
-other sign than the first fused one carries the inverse letters.  With n_i half
+carried letter, e(i, j) or e(i, aux), raised to the sign of its own
+exponent; the first fused exponent's sign picks the layout.  With n_i half
 the top Zeckendorf index of m_i and r_i its number of summands, the fused
 template costs 4 + 8 max n_i + 2 sum r_i letters, against
 sum (4 + 8 n_i + 2 r_i) for one template per target.  A target whose
@@ -56,60 +56,41 @@ def _triple_letters(i: int, aux: int, j: int) -> tuple:
     )
 
 
-def _walk(levels, order, top: int, side: int, block) -> list:
-    """One side of the walk from level top down to level 0, joined by block.
-
-    levels maps a level to the (u letters, v letters) it carries, in target
-    order; order lists its levels descending, and side 0 takes the u
-    letters and side 1 the v letters.
-    """
-    out = []
-    for level in order:
-        out.extend(block * (top - level))
-        out.extend(levels[level][side])
-        top = level
-    out.extend(block * top)
-    return out
-
-
 def _fused_template(j: int, aux: int, fused) -> list:
     """One template carrying every (i, ks, m) in fused, with source j.
 
     With t = e(aux, j), s = e(j, aux) and n the largest ks[-1] // 2 the
-    template is t^-1 (t s)^-n v t^-1 (t s)^-n u t^2.  Level l of the walk u
+    template is t^-1 (t s)^-n v t^-1 (t s)^-n u t^2.  The walks u and v go
+    down from level n to level 0 with one (t, s) block per step; level l
     carries, for every target with 2l or 2l + 1 in its ks, top or mid
-    raised to the sign of its m, and v carries the same letters inverted.
-    When the first m is negative the inverse layout is used,
-    t^-2 u^-1 (t s)^n t v^-1 (t s)^n t, with u^-1 and v^-1 walked by
-    (t^-1, s^-1) and reversed, and the signs read the other way round, so
-    a one-target template is the inverse of the positive one letter for
-    letter.
+    raised to the sign of its m in u and the inverse letter in v.  When the
+    first m is negative, t and s trade places with their inverses and the
+    finished list is reversed, so negating every exponent gives the inverse
+    template letter for letter.
     """
-    levels: dict[int, tuple[list, list]] = {}
-    inverse = fused[0][2] < 0
+    carried: dict[int, list] = {}
     for i, ks, m in fused:
         top, mid, t, s, top_i, mid_i, t_i, s_i = _triple_letters(i, aux, j)
-        if (m > 0) != inverse:
-            carried = ((top, top_i), (mid, mid_i))
-        else:
-            carried = ((top_i, top), (mid_i, mid))
+        pairs = ((top, top_i), (mid, mid_i)) if m > 0 else ((top_i, top), (mid_i, mid))
         for k in ks:
-            u_side, v_side = levels.setdefault(k >> 1, ([], []))
-            u_side.append(carried[k & 1][0])
-            v_side.append(carried[k & 1][1])
-    order = sorted(levels, reverse=True)
-    half = order[0]
+            carried.setdefault(k >> 1, []).append(pairs[k & 1])
+    inverse = fused[0][2] < 0
     if inverse:
-        ts = (t, s) * half
-        u_inv = _walk(levels, order, half, 1, (t_i, s_i))
-        u_inv.reverse()
-        v_inv = _walk(levels, order, half, 0, (t_i, s_i))
-        v_inv.reverse()
-        return [t_i, t_i, *u_inv, *ts, t, *v_inv, *ts, t]
+        t, s, t_i, s_i = t_i, s_i, t, s
+    half = max(carried)
+    u, v = [], []
+    for level in range(half, -1, -1):
+        for a, b in carried.get(level, ()):
+            u.append(a)
+            v.append(b)
+        if level:
+            u += (t, s)
+            v += (t, s)
     ts_inv = (s_i, t_i) * half
-    v = _walk(levels, order, half, 1, (t, s))
-    u = _walk(levels, order, half, 0, (t, s))
-    return [t_i, *ts_inv, *v, t_i, *ts_inv, *u, t, t]
+    out = [t_i, *ts_inv, *v, t_i, *ts_inv, *u, t, t]
+    if inverse:
+        out.reverse()
+    return out
 
 
 def _batch_letters(out: list, j: int, powers, pool) -> list:

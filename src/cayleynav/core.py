@@ -298,17 +298,12 @@ def ab_matrix(n: int, sym: str, e: int = 1) -> MatZ:
         raise InvalidGeneratorError(f"AB symbol must be A or B, got {sym!r}")
     if e not in (1, -1):
         raise InvalidGeneratorError("exponent must be +1 or -1")
-    sign = (-1) ** (n - 1)
     rows = [[0] * n for _ in range(n)]
-    if e == 1:
-        for r in range(n - 1):
-            rows[r][r + 1] = 1
-        rows[n - 1][0] = sign
-    else:
-        for r in range(1, n):
-            rows[r][r - 1] = 1
-        rows[0][n - 1] = sign
-    return MatZ(n, tuple(tuple(r) for r in rows))
+    for r in range(n - 1):
+        rows[r][r + 1] = 1
+    rows[n - 1][0] = (-1) ** (n - 1)
+    # B is a signed permutation matrix, so its inverse is its transpose
+    return MatZ(n, tuple(map(tuple, rows if e == 1 else zip(*rows))))
 
 
 def letter_matrix_z(letter: GenLetter, n: int) -> MatZ:

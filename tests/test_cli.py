@@ -512,6 +512,15 @@ def test_cli_verify_refuses_matrix_and_word_both_from_stdin(monkeypatch, capsys)
     assert run(capsys, "verify", "--matrix", "-", "e(1,2)") == (0, "MATCH length=1\n", "")
 
 
+def test_cli_verify_refuses_word_file_and_tokens_together(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("3\n1 1 0\n0 1 0\n0 0 1\n")
+    word = tmp_path / "w.txt"
+    word.write_text("e(1,2)\n")
+    rc, out, err = run(capsys, "verify", "--matrix", str(path), "--word", str(word), "e(2,3)", "e(1,3)")
+    assert (rc, out, err) == (2, "", "error: the word comes from --word or from tokens, not both\n")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     rc, _, err = run(capsys, "rewrite-ab", "3", "e(1,2")
     assert rc == 2 and "error:" in err

@@ -144,6 +144,18 @@ def test_compress_power_random_large_exponents():
 def test_compress_power_negative_is_inverse():
     for m in (7, 100, 12345):
         assert compress_power(3, 1, 3, -m) == compress_power(3, 1, 3, m).inverse()
+    # negating every exponent of a fused template inverts it letter for letter,
+    # also with several targets of mixed signs
+    for j, aux, powers in (
+        (5, 4, ((1, 100), (2, -12345))),
+        (5, 4, ((1, -987), (2, 10**6))),
+        (1, 2, ((3, 50), (4, -10**9), (5, 777))),
+        (3, 5, ((4, -31), (1, -2**40), (2, 1000))),
+    ):
+        fused = [(i, zeckendorf(abs(m)).indices, m) for i, m in powers]
+        negated = [(i, ks, -m) for i, ks, m in fused]
+        template = _fused_template(j, aux, fused)
+        assert _fused_template(j, aux, negated) == [l.inverse() for l in reversed(template)]
 
 
 def test_compress_power_support_stays_in_three_indices():

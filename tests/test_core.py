@@ -106,6 +106,8 @@ def test_matz_shape_validation():
         MatZ(2, ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(DomainError):
         MatZ.identity(2) * MatZ.identity(3)
+    with pytest.raises(DomainError):
+        MatFp.identity(3, 5) * MatFp.identity(3, 7)
 
 
 def test_determinant_against_cofactor_expansion():
@@ -281,6 +283,8 @@ def test_value_types_compare_hash_freeze_and_print_by_field():
         assert pickle.loads(pickle.dumps(a)) == a
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
     # equality never crosses classes, even between equal entries
     assert MatZ.identity(3) != MatFp.identity(3, 5)
     assert MatZ.identity(2) != ((1, 0), (0, 1))
