@@ -9,6 +9,7 @@ Python object per state: visited states are bytes of a table indexed by
 the packed state, and each distance level is an array of packed states.
 """
 
+import operator
 from array import array
 from collections import namedtuple
 from itertools import product
@@ -252,7 +253,7 @@ def min_pair_reduction_steps(a: int, b: int, max_steps: int = 64) -> int:
     states beyond four times the starting magnitude are pruned, which no
     shortest path at these sizes ever needs.
     """
-    a, b = int(a), int(b)
+    a, b = operator.index(a), operator.index(b)
     if a == 0 or b == 0:
         return 0
     cap = 4 * max(abs(a), abs(b)) + 4
@@ -267,7 +268,5 @@ def min_pair_reduction_steps(a: int, b: int, max_steps: int = 64) -> int:
                 if abs(u) <= cap and abs(v) <= cap and (u, v) not in seen:
                     seen.add((u, v))
                     nxt.append((u, v))
-        if not nxt:
-            break
         frontier = nxt
     raise BudgetExceededError(f"no reduction found within {max_steps} moves")

@@ -33,6 +33,7 @@ when the pool has none, the fused targets are split in two halves and
 each half takes a member of the other as aux.
 """
 
+import operator
 from functools import lru_cache
 
 from .core import Word, _word, eletter
@@ -144,5 +145,5 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
             f"auxiliary index {aux} must lie in 1..{n} outside {{{i},{j}}}"
         )
     pool = range(1, n + 1) if aux is None else (aux,)
-    return _word(n, tuple(_batch_letters([], j, ((i, m),), pool)))
+    return _word(n, tuple(_batch_letters([], j, ((i, operator.index(m)),), pool)))
 

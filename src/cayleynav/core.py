@@ -33,6 +33,7 @@ reduction of checked words) go through _word, which skips the constructor
 and its per-letter pass; a product still compares the two alphabets.
 """
 
+import operator
 from functools import lru_cache
 
 from .errors import DomainError, InternalStateError, InvalidGeneratorError
@@ -214,7 +215,7 @@ class MatZ(_Frozen):
 
     @classmethod
     def from_rows(cls, rows) -> "MatZ":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(operator.index, r)) for r in rows)
         return cls(len(rows), rows)
 
     def __mul__(self, other: "MatZ") -> "MatZ":
@@ -256,7 +257,7 @@ class MatFp(_Frozen):
     def from_rows(cls, rows, p: int) -> "MatFp":
         if p < 2:
             raise DomainError(f"modulus {p} is not prime")
-        rows = tuple(tuple(int(x) % p for x in r) for r in rows)
+        rows = tuple(tuple(operator.index(x) % p for x in r) for r in rows)
         return cls(len(rows), p, rows)
 
     def __mul__(self, other: "MatFp") -> "MatFp":
@@ -440,11 +441,6 @@ def determinant(m: MatZ | MatFp) -> int:
 def determinant_fp(m: MatFp) -> int:
     """Determinant of a mod-p matrix as a residue in [0, p), by Bareiss on the residues."""
     return determinant(m) % m.p
-
-
-def mat_z_mod(m: MatZ, p: int) -> MatFp:
-    """Reduce an integer matrix mod the prime p."""
-    return MatFp(m.n, p, tuple(tuple(x % p for x in row) for row in m.rows))
 
 
 def inverse_mod(a: int, p: int) -> int:

@@ -12,6 +12,7 @@ source, so the letter count is logarithmic in the entry size.
 """
 
 import math
+import operator
 from collections import namedtuple
 
 from .core import ELEMENTARY, Word, _word, eletter
@@ -89,7 +90,7 @@ def subtractive_gcd(entries) -> EuclidTrace:
     EuclidTrace.tuples and EuclidTrace.word refuse a trace of more than
     SUBTRACTIVE_STEP_BUDGET steps with BudgetExceededError.
     """
-    vals = [int(x) for x in entries]
+    vals = [operator.index(x) for x in entries]
     if len(vals) < 2:
         raise DomainError(f"need at least two entries, got {len(vals)}")
     if all(v == 0 for v in vals):
@@ -109,7 +110,7 @@ def subtractive_gcd(entries) -> EuclidTrace:
 
 def replay_word_on_tuple(w: Word, entries) -> tuple[int, ...]:
     """Apply an elementary word to a column tuple, rightmost letter first."""
-    vals = [int(x) for x in entries]
+    vals = [operator.index(x) for x in entries]
     if len(vals) != w.n:
         raise DomainError(f"tuple length {len(vals)} does not match dimension {w.n}")
     if w.letters and w.alphabet != ELEMENTARY:
@@ -142,7 +143,7 @@ def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
     entries; its moves are the quotient steps, and its output, which
     evaluates to the inverse premultiplier, is inverted into the word.
     """
-    vals = [int(x) for x in entries]
+    vals = [operator.index(x) for x in entries]
     n = len(vals)
     if n < 3:
         raise DomainError(f"accelerated reduction needs dimension >= 3, got {n}")

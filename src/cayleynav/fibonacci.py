@@ -6,6 +6,7 @@ k >= 2 with gaps of at least 2, which makes them unique.
 """
 
 import math
+import operator
 from bisect import bisect_right
 from collections import namedtuple
 
@@ -58,6 +59,7 @@ def _fib_table(m: int, n: int = 0) -> tuple[int, ...]:
 
 def zeckendorf(m: int) -> ZeckendorfDecomposition:
     """Greedy decomposition of m >= 1; indices returned in increasing order."""
+    m = operator.index(m)
     if m < 1:
         raise DomainError(f"Zeckendorf decomposition needs m >= 1, got {m}")
     fibs = _fib_table(m)

@@ -1,7 +1,7 @@
 """Short words for matrices over prime fields.
 
-The integer pipeline carries over through the shared engine
-rowreduce.RowReducer, run over Z/p with the same sequence of steps:
+The integer pipeline carries over through the shared engine: word_for_modp
+calls rowreduce.RowReducer.reduce over Z/p, the same sequence of steps:
 entries are lifted to residues in [0, p), the lifted columns are
 gcd-reduced by N-ary rounds of compressed batches, above-diagonal entries
 are cleared one column per batch with exponents taken mod p, so every
@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from . import core
-from .core import MatFp, Word, _word, inverse_mod, sl_group_order
+from .core import MatFp, Word, inverse_mod, sl_group_order
 from .errors import DEFAULT_BUDGET, DomainError, NotInGroupError, UnsupportedDimensionError
 from .rowreduce import RowReducer
 
@@ -38,12 +38,7 @@ def word_for_modp(m: MatFp) -> Word:
     if core.determinant_fp(m) != 1:
         raise NotInGroupError("determinant is not 1 mod p")
     red = RowReducer([list(r) for r in m.rows], p)
-    for col in range(1, n):
-        red.clear_column(col)
-    red.clear_upper()
-    red.clear_diagonal()
-    red.check_identity()
-    return _word(n, tuple(red.out))
+    return red.reduce()[0]
 
 
 def length_bound_modp(n: int, p: int) -> float:

@@ -1,8 +1,8 @@
 """Constructive words for integer unimodular matrices in dimension >= 3.
 
 The matrix is driven to the identity by premultiplications on a
-rowreduce.RowReducer over Z, in three phases: column-by-column gcd
-clearing below the diagonal, compressed clearing of the upper triangle,
+rowreduce.RowReducer over Z, whose reduce runs three phases: column-by-column
+gcd clearing below the diagonal, compressed clearing of the upper triangle,
 which leaves the +-1 pivots in place, then the diagonal endgame, which
 turns the -1 pivots into +1 two at a time.  The engine appends the inverse
 of every premultiplier as it is applied, so the letters come out in the
@@ -27,7 +27,7 @@ per-column sup norms; neither affects correctness.
 
 from collections import namedtuple
 
-from .core import MatZ, Word, _word, determinant
+from .core import MatZ, Word, determinant
 from .errors import NotInGroupError, UnsupportedDimensionError
 from .rowreduce import RowReducer
 
@@ -94,11 +94,11 @@ def _lll_reduce(red: RowReducer) -> list[int]:
 class NormalFormResult(namedtuple("NormalFormResult", "word phase_lengths column_norms peak_norm")):
     """Word for a unimodular matrix plus per-phase diagnostics.
 
-    phase_lengths counts letters as (column, sign, upper): column clearing
-    with the LLL pre-reduction, the diagonal endgame that clears the -1
-    pivots, and upper clearing.  The endgame runs last, after upper
-    clearing, though its count comes second.  column_norms lists the sup norm
-    before phase one and after each cleared column.  peak_norm is the
+    phase_lengths counts letters as (column, sign, upper), as
+    RowReducer.reduce returns them: column clearing with the LLL
+    pre-reduction, the diagonal endgame that clears the -1 pivots, and
+    upper clearing.  column_norms lists the sup norm before phase one and
+    after each cleared column, RowReducer.norms.  peak_norm is the
     largest |entry| of the working matrix, the input included, after every
     row operation of every phase; each target row of a compressed batch
     counts as one operation, and so does each of the three row operations
@@ -122,20 +122,10 @@ def normal_form_result(m: MatZ) -> NormalFormResult:
     if det != 1:
         raise NotInGroupError(f"determinant is {det}, not 1")
     red = RowReducer([list(r) for r in m.rows])
-    rows = red.rows
-    norms = [red.peak]
-    if any(rows[r][c] for r in range(1, n) for c in range(r)):
+    if any(red.rows[r][c] for r in range(1, n) for c in range(r)):
         _lll_reduce(red)
-    for col in range(1, n):
-        red.clear_column(col)
-        norms.append(max(abs(x) for row in rows for x in row))
-    n1 = len(red.out)
-    red.clear_upper()
-    n2 = len(red.out)
-    red.clear_diagonal()
-    red.check_identity()
-    word = _word(n, tuple(red.out))
-    return NormalFormResult(word, (n1, len(word) - n2, n2 - n1), tuple(norms), red.peak)
+    word, phases = red.reduce()
+    return NormalFormResult(word, phases, tuple(red.norms), red.peak)
 
 
 def normal_form(m: MatZ) -> Word:

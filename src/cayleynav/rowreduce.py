@@ -12,7 +12,7 @@ letters of the product of e(i, j)^-q_i as one fused template
 (compression._batch_letters), without building a Word per batch.  A
 single row operation is a batch of one, and a signed swap is three row
 operations, so batch is the only place the engine spells letters.  The
-letters are valid by construction, so the caller wraps the output with
+letters are valid by construction, so reduce wraps the output with
 core._word, and check_identity vouches for what they evaluate to.
 
 Column clearing folds the column into a carrier row by N-ary Euclidean
@@ -27,27 +27,27 @@ index from a pool: while folding three or more active rows, the active
 rows and then the finished ones (rows 1..col-1 when clear_column folds
 column col; euclid.accelerated_reduce has none, so its letters stay on
 the active rows), and every row otherwise, so with two active rows aux is
-row 1.  Both rings run the same sequence: clear_column for each column,
-clear_upper, clear_diagonal, check_identity.  Over Z/p the column entries
-are residues in [0, p), so the division runs on integers and the
-exponents stay below p, and upper clearing and the endgame take their
-exponents in the least-absolute window (-p/2, p/2].
+row 1.  Both rings run the same sequence, RowReducer.reduce: clear_column
+for each column, clear_upper, clear_diagonal, check_identity.  Over Z/p
+the column entries are residues in [0, p), so the division runs on
+integers and the exponents stay below p, and upper clearing and the
+endgame take their exponents in the least-absolute window (-p/2, p/2].
 """
 
 from .compression import _batch_letters
-from .core import inverse_mod, least_abs_residue
+from .core import Word, _word, inverse_mod, least_abs_residue
 from .errors import InternalStateError, UnsupportedDimensionError
 
 
 class RowReducer:
-    """Working rows, their output word and, over Z, the largest entry met.
+    """Working rows, their output word and, over Z, the entry sizes met.
 
     peak starts at the sup norm of the input and takes the new row of every
     row operation into account; a compressed batch is one operation per
-    target row.
+    target row.  norms lists the sup norm at the start and after each column.
     """
 
-    __slots__ = ("n", "p", "rows", "out", "peak", "all_rows")
+    __slots__ = ("n", "p", "rows", "out", "peak", "norms", "all_rows")
 
     def __init__(self, rows: list[list[int]], p: int | None = None):
         self.n = len(rows)
@@ -55,7 +55,24 @@ class RowReducer:
         self.rows = rows
         self.out: list = []
         self.peak = max(abs(x) for row in rows for x in row)
+        self.norms = [self.peak]
         self.all_rows = range(1, self.n + 1)
+
+    def reduce(self) -> tuple[Word, tuple[int, int, int]]:
+        """clear_column for columns 1..N-1, clear_upper, clear_diagonal, check_identity.
+
+        Returns the output word and its letters per phase as (column, sign,
+        upper), column counting letters already output (LLL over Z): the
+        endgame runs last, after upper clearing, but is counted second.
+        """
+        for col in range(1, self.n):
+            self.clear_column(col)
+        n1 = len(self.out)
+        self.clear_upper()
+        n2 = len(self.out)
+        self.clear_diagonal()
+        self.check_identity()
+        return _word(self.n, tuple(self.out)), (n1, len(self.out) - n2, n2 - n1)
 
     def _is_unit(self, v: int) -> bool:
         return v in (1, -1) if self.p is None else v != 0
@@ -139,6 +156,8 @@ class RowReducer:
         pivot = rows[col - 1][col - 1]
         if not self._is_unit(pivot):
             raise InternalStateError(f"gcd of column {col} is {pivot}, matrix is not unimodular")
+        if self.p is None:
+            self.norms.append(max(abs(x) for row in rows for x in row))
 
     def _lift(self, v: int) -> int:
         return v if self.p is None else least_abs_residue(v, self.p)

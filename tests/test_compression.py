@@ -7,6 +7,7 @@ import pytest
 from cayleynav.cli import main
 from cayleynav.compression import _batch_letters, _fused_template, compress_power
 from cayleynav.core import (
+    MatFp,
     MatZ,
     Word,
     elementary_matrix,
@@ -14,7 +15,6 @@ from cayleynav.core import (
     eval_word_fp,
     eval_word_z,
     letter_matrix_z,
-    mat_z_mod,
 )
 from cayleynav.errors import InvalidGeneratorError, UnsupportedDimensionError
 from cayleynav.fibonacci import fib, zeckendorf, zeckendorf_length_bound
@@ -201,7 +201,7 @@ def test_compress_power_modp_matches_plain_power(capsys):
             m = rng.randint(-(10**9), 10**9)
             rc, w = compress_modp(capsys, 3, 1, 3, m, p)
             assert rc == 0
-            assert eval_word_fp(w, p) == mat_z_mod(target(3, 1, 3, m % p), p)
+            assert eval_word_fp(w, p) == MatFp.from_rows(target(3, 1, 3, m % p).rows, p)
 
 
 def test_compress_power_modp_rejects_composite_modulus(capsys):

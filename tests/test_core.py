@@ -28,7 +28,6 @@ from cayleynav.core import (
     is_prime,
     least_abs_residue,
     letter_matrix_z,
-    mat_z_mod,
     sup_norm,
 )
 from cayleynav.errors import DomainError, InternalStateError, InvalidGeneratorError, ParseError
@@ -388,9 +387,9 @@ def test_eval_word_fp_matches_integer_reduction():
     for p in (2, 5, 13):
         for _ in range(15):
             w = random_eword(rng, 3, rng.randrange(0, 10))
-            assert eval_word_fp(w, p) == mat_z_mod(eval_word_z(w), p)
+            assert eval_word_fp(w, p) == MatFp.from_rows(eval_word_z(w).rows, p)
         w = random_abword(rng, 4, 7)
-        assert eval_word_fp(w, p) == mat_z_mod(eval_word_z(w), p)
+        assert eval_word_fp(w, p) == MatFp.from_rows(eval_word_z(w).rows, p)
 
 
 def test_packed_evaluation_matches_letter_matrix_product_across_blocks():
@@ -408,7 +407,7 @@ def test_packed_evaluation_matches_letter_matrix_product_across_blocks():
             )
             assert eval_word_z(w) == direct
             for p in (2, 3, 101, 2**61 - 1):
-                assert eval_word_fp(w, p) == mat_z_mod(direct, p)
+                assert eval_word_fp(w, p) == MatFp.from_rows(direct.rows, p)
 
 
 def test_packed_evaluation_stays_exact_through_entry_growth():
@@ -421,7 +420,7 @@ def test_packed_evaluation_stays_exact_through_entry_growth():
     assert m == MatZ.from_rows(
         [[fib(2 * t + 1), fib(2 * t), 0], [fib(2 * t), fib(2 * t - 1), 0], [0, 0, 1]]
     )
-    assert eval_word_fp(w, 101) == mat_z_mod(m, 101)
+    assert eval_word_fp(w, 101) == MatFp.from_rows(m.rows, 101)
 
 
 def test_packed_rows_round_trip_and_refuse_an_overflowed_slot():
@@ -440,7 +439,7 @@ def test_eval_word_fp_decides_primality_once(monkeypatch):
         return is_prime(n)
 
     w = random_eword(random.Random(5), 4, 40)
-    expected = mat_z_mod(eval_word_z(w), 101)
+    expected = MatFp.from_rows(eval_word_z(w).rows, 101)
     monkeypatch.setattr(core, "is_prime", counting)
     assert eval_word_fp(w, 101) == expected
     assert calls == [101]
@@ -503,7 +502,7 @@ def test_determinant_fp_matches_integer_determinant():
     for p in (2, 3, 7, 11):
         for _ in range(20):
             m = random_matz(rng, 3, bound=20)
-            assert determinant_fp(mat_z_mod(m, p)) == determinant(m) % p
+            assert determinant_fp(MatFp.from_rows(m.rows, p)) == determinant(m) % p
     assert determinant_fp(MatFp.from_rows([[1, 1], [1, 1]], 7)) == 0
 
 

@@ -68,6 +68,7 @@ def test_public_surface():
         (compression, "_power_letters"),
         (compression, "compress_power_modp"),
         (formats, "format_word_text"),
+        (core, "mat_z_mod"),
     ):
         assert not hasattr(module, name), name
 
@@ -183,3 +184,32 @@ def test_modp_sees_a_determinant_wrapped_before_it_loads():
         "print(len(calls))\n"
     )
     assert fresh(code).strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # these two looped forever on a fractional remainder, so every call
+        # runs in a child that a timeout ends
+        "from cayleynav.fibonacci import zeckendorf; zeckendorf(5.5)",
+        "from cayleynav.compression import compress_power; compress_power(3, 1, 2, 100.5)",
+        "from cayleynav.compression import compress_power; compress_power(3, 1, 2, 10.5)",
+        "from cayleynav.core import MatZ; MatZ.from_rows([[1, 2.7, 0], [0, 1, 0], [0, 0, 1]])",
+        "from cayleynav.core import MatZ; MatZ.from_rows([['1', 0, 0], [0, 1, 0], [0, 0, 1]])",
+        "from cayleynav.core import MatFp; MatFp.from_rows([[1, 2.7, 0], [0, 1, 0], [0, 0, 1]], 7)",
+        "from cayleynav.euclid import subtractive_gcd; subtractive_gcd((5.5, 2))",
+        "from fractions import Fraction; from cayleynav.euclid import subtractive_gcd; "
+        "subtractive_gcd((Fraction(4), 2))",
+        "from cayleynav.euclid import accelerated_reduce; accelerated_reduce((0, 5.5, 2))",
+        "from cayleynav.core import Word; from cayleynav.euclid import replay_word_on_tuple; "
+        "replay_word_on_tuple(Word(3, ()), (1, 2.5, 3))",
+        "from cayleynav.bfs import min_pair_reduction_steps; min_pair_reduction_steps(5.5, 2)",
+    ],
+)
+def test_entry_points_take_exact_integers_only(call):
+    code = f"try:\n    {call}\nexcept TypeError as exc:\n    print(exc)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True, timeout=20,
+    ).stdout
+    assert out.strip().endswith("object cannot be interpreted as an integer"), out
