@@ -7,6 +7,9 @@ All of them are exponential in nature, so every entry point checks its
 state budget before touching memory.  The SL_n(F_p) search keeps no
 Python object per state: visited states are bytes of a table indexed by
 the packed state, and each distance level is an array of packed states.
+Each alphabet has one per-level kernel that expands a whole distance
+level in a single loop, with its tables in locals, so no call and no
+neighbour list is made per state.
 """
 
 import operator
@@ -37,10 +40,11 @@ def generator_letters(n: int, alphabet: str = ELEMENTARY) -> list:
 
 
 class _EntrywiseRowSums:
-    """Row sums row_i + s * row_j, looked up entry by entry in a p x p table.
+    """Row moves row_i -> row_i + s * row_j, summed entry by entry in a p x p table.
 
-    Indexed like a row-pair table, by row_i * p**n + row_j, for dimensions
-    where a row-pair table would exceed the group order (n = 2).
+    Indexed like a row-move table, by row_i + row_j * p**n, and gives the
+    change of the row code, for dimensions where a row-move table would
+    exceed the group order (n = 2).
     """
 
     def __init__(self, rows: list, p: int, s: int):
@@ -48,30 +52,35 @@ class _EntrywiseRowSums:
         self.sums = [(x + s * y) % p for x in range(p) for y in range(p)]
 
     def __getitem__(self, k: int) -> int:
-        ri, rj = divmod(k, self.size)
+        rj, ri = divmod(k, self.size)
         p, sums, out = self.p, self.sums, 0
         for x, y in zip(self.rows[ri], self.rows[rj]):
             out = out * p + sums[x * p + y]
-        return out
+        return out - ri
 
 
 def _packing(n: int, p: int, alphabet: str, order: int):
-    """Packed states of SL_n(F_p) and the generators' moves on them.
+    """Packed states of SL_n(F_p) and a per-level kernel for the generators.
 
     A state is the int sum(row_k * P**k) with P = p**n, where row_k is the
-    base-p code of row k, its first entry most significant.  e(i, j)^s and
-    A^s look up the new row i in a table indexed by row_i * P + row_j, then
-    move to c + (new - row_i) * P**i.  B^s rotates the rows:
-    c // P + neg[row_0] * P**(n-1), and its mirror, where neg negates a row
-    when n is even (the corner sign of B).  No table is larger than the
-    group order: where a row-pair table (p**(2n) entries) would be, that
-    is for n = 2, the row sums come entry by entry from a p x p table.
+    base-p code of row k, its first entry most significant.  e(i, j)^s
+    changes row i by a table entry indexed by row_i + row_j * P: the
+    change of the code when row_i becomes row_i + s * row_j.  The state
+    moves to c + change * P**i, and for A^s (i, j = 0, 1) the index is
+    just c % P**2.  B^s rotates the rows: c // P + neg[row_0] * P**(n-1),
+    and its mirror, where neg negates a row when n is even (the corner
+    sign of B).  No table is larger than the group order: where a row-move
+    table (p**(2n) entries) would be, that is for n = 2, the changes come
+    entry by entry from a p x p table.
 
-    Returns (encode, decode, step): flat entry tuples to packed states and
-    back, and step(c), the list of neighbours of c in the order of
-    generator_letters(n, alphabet).
+    Returns (encode, decode, expand): flat entry tuples to packed states
+    and back, and expand(level, seen), which runs one distance level in a
+    single loop over its states.  It marks in seen every state first
+    reached from the level, and returns them in an array('q'), in level
+    order and, per state, in the order of generator_letters(n, alphabet).
     """
     P = p**n
+    P2 = P * P
     top = P ** (n - 1)
     weights = [P**k for k in range(n)]
     places = [w * p ** (n - 1 - col) for w in weights for col in range(n)]
@@ -83,48 +92,81 @@ def _packing(n: int, p: int, alphabet: str, order: int):
     def decode(c: int) -> tuple:
         return tuple(x for w in weights for x in rows[c // w % P])
 
-    def row_sums(s: int) -> list:
-        # The sum is taken entry by entry, so for a fixed row a the codes of
-        # a + s * b over all b (in code order) are sums of one place-valued
-        # entry per column: a product over the columns.
+    # shared[v] is v for -P < v < P: one int object per change, so a table
+    # holds pointers to at most 2P - 1 objects instead of one object per entry
+    shared = [*range(P), *range(1 - P, 0)]
+
+    def row_moves(s: int) -> list:
+        # The sum is taken entry by entry, so for a fixed row_j the changes
+        # over all row_i (in code order) are sums of one place-valued change
+        # per column: a product over the columns.
         columns = [
-            [[(x + s * y) % p * p ** (n - 1 - col) for y in range(p)] for x in range(p)]
+            [[((x + s * y) % p - x) * p ** (n - 1 - col) for x in range(p)] for y in range(p)]
             for col in range(n)
         ]
         return [
-            v for a in rows for v in map(sum, product(*(columns[col][x] for col, x in enumerate(a))))
+            shared[v]
+            for b in rows
+            for v in map(sum, product(*(columns[col][y] for col, y in enumerate(b))))
         ]
 
-    # sums[s][row_i * P + row_j] is the code of row_i + s * row_j
+    # add[row_i + row_j * P] and sub[...] are the code changes of row_i +- row_j
     if p ** (2 * n) <= order:
-        sums = {s: row_sums(s) for s in (1, -1)}
+        add, sub = row_moves(1), row_moves(-1)
     else:
-        sums = {s: _EntrywiseRowSums(rows, p, s) for s in (1, -1)}
+        add, sub = _EntrywiseRowSums(rows, p, 1), _EntrywiseRowSums(rows, p, -1)
 
     if alphabet == AB:
         sign = (-1) ** (n - 1)
         neg = [encode(tuple(sign * x % p for x in row)) for row in rows]
-        add, sub = sums[1], sums[-1]
+        neg_top = [r * top for r in neg]
 
-        def step(c: int) -> list:
-            r0 = c % P
-            k = r0 * P + c // P % P
-            return [
-                c + add[k] - r0,
-                c + sub[k] - r0,
-                c // P + neg[r0] * top,
-                c % top * P + neg[c // top],
-            ]
+        def expand(level, seen) -> array:
+            nxt = array("q")
+            app = nxt.append
+            for c in level:
+                k = c % P2
+                c2 = c + add[k]
+                if not seen[c2]:
+                    seen[c2] = 1
+                    app(c2)
+                c2 = c + sub[k]
+                if not seen[c2]:
+                    seen[c2] = 1
+                    app(c2)
+                c2 = c // P + neg_top[c % P]
+                if not seen[c2]:
+                    seen[c2] = 1
+                    app(c2)
+                c2 = c % top * P + neg[c // top]
+                if not seen[c2]:
+                    seen[c2] = 1
+                    app(c2)
+            return nxt
 
-        return encode, decode, step
+        return encode, decode, expand
 
-    ops = [(l.i - 1, l.j - 1, sums[l.e], weights[l.i - 1]) for l in generator_letters(n, alphabet)]
+    # e(i, j)^1 and e(i, j)^-1 for each ordered pair, in generator_letters order
+    pairs = [(l.i - 1, l.j - 1, weights[l.i - 1]) for l in generator_letters(n, alphabet)[::2]]
 
-    def step(c: int) -> list:
-        r = [c // w % P for w in weights]
-        return [c + (tab[r[i] * P + r[j]] - r[i]) * w for i, j, tab, w in ops]
+    def expand(level, seen) -> array:
+        nxt = array("q")
+        app = nxt.append
+        for c in level:
+            r = [c // w % P for w in weights]
+            for i, j, w in pairs:
+                k = r[i] + r[j] * P
+                c2 = c + add[k] * w
+                if not seen[c2]:
+                    seen[c2] = 1
+                    app(c2)
+                c2 = c + sub[k] * w
+                if not seen[c2]:
+                    seen[c2] = 1
+                    app(c2)
+        return nxt
 
-    return encode, decode, step
+    return encode, decode, expand
 
 
 def _search(n: int, p: int, alphabet: str, budget: int):
@@ -150,20 +192,14 @@ def _search(n: int, p: int, alphabet: str, budget: int):
             f"SL_{n}(F_{p}) needs a visited table of {size} bytes, "
             f"over 8 times the budget of {budget}"
         )
-    encode, decode, step = _packing(n, p, alphabet, order)
+    encode, decode, expand = _packing(n, p, alphabet, order)
     start = encode(tuple(1 if r == c else 0 for r in range(n) for c in range(n)))
     seen = bytearray(size)
     seen[start] = 1
     levels = [array("q", (start,))]
     reached = 1
     while True:
-        nxt = array("q")
-        app = nxt.append
-        for c in levels[-1]:
-            for c2 in step(c):
-                if not seen[c2]:
-                    seen[c2] = 1
-                    app(c2)
+        nxt = expand(levels[-1], seen)
         if not nxt:
             break
         reached += len(nxt)
@@ -178,10 +214,11 @@ def _search(n: int, p: int, alphabet: str, budget: int):
 def bfs_distance_map(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = DEFAULT_BUDGET) -> dict:
     """Exact distance from the identity for every element of SL_n(F_p).
 
-    Keys are flat row-major entry tuples.  The search runs on packed
-    integer states, one table lookup per generator, so the cost is linear
-    in the number of group elements times generators; states are decoded
-    into tuples only at the end.
+    Keys are flat row-major entry tuples, in discovery order.  The search
+    runs on packed integer states, one kernel call per distance level and
+    a table lookup and an add per generator move, so the cost is linear in
+    the number of group elements times generators; states are decoded into
+    tuples only at the end.
     """
     levels, decode = _search(n, p, alphabet, budget)
     return {decode(c): d for d, level in enumerate(levels) for c in level}

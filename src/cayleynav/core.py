@@ -207,6 +207,9 @@ class MatZ(_Frozen):
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix rows do not form an {n}x{n} square")
+        for row in rows:
+            for x in row:
+                operator.index(x)  # a non-integer entry raises TypeError
         self._init(n, rows)
 
     @classmethod
@@ -241,11 +244,13 @@ class MatFp(_Frozen):
     __slots__ = ("n", "p", "rows")
 
     def __init__(self, n: int, p: int, rows: tuple[tuple[int, ...], ...]):
+        p = operator.index(p)
         if not is_prime(p):
             raise DomainError(f"modulus {p} is not prime")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix rows do not form an {n}x{n} square")
-        if any(x < 0 or x >= p for row in rows for x in row):
+        # one pass: a non-integer entry raises TypeError, a non-residue DomainError
+        if any(not 0 <= operator.index(x) < p for row in rows for x in row):
             raise DomainError(f"entries must be residues in [0, {p})")
         self._init(n, p, rows)
 
@@ -255,6 +260,7 @@ class MatFp(_Frozen):
 
     @classmethod
     def from_rows(cls, rows, p: int) -> "MatFp":
+        p = operator.index(p)
         if p < 2:
             raise DomainError(f"modulus {p} is not prime")
         rows = tuple(tuple(operator.index(x) % p for x in r) for r in rows)

@@ -13,7 +13,7 @@ from cayleynav.bfs import (
     min_pair_reduction_steps,
     sl_group_order,
 )
-from cayleynav.core import AB, ELEMENTARY, abletter, eletter
+from cayleynav.core import AB, ELEMENTARY, MatFp, abletter, eletter, letter_matrix_z
 from cayleynav.errors import BudgetExceededError, DomainError
 from cayleynav.euclid import subtractive_gcd
 from cayleynav.fibonacci import fib
@@ -131,6 +131,34 @@ def test_bfs_memory_per_state():
         finally:
             tracemalloc.stop()
         assert peak / rep.order <= 24, (n, p, alphabet, peak / rep.order)
+
+
+def naive_distance_map(n, p, alphabet):
+    """Reference BFS on MatFp matrices: each state times each letter's matrix."""
+    gens = [MatFp.from_rows(letter_matrix_z(l, n).rows, p) for l in generator_letters(n, alphabet)]
+    start = MatFp.identity(n, p)
+    dist = {start.key(): 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                m2 = g * m
+                if m2.key() not in dist:
+                    dist[m2.key()] = dist[m.key()] + 1
+                    nxt.append(m2)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (2, 5)])
+@pytest.mark.parametrize("alphabet", [ELEMENTARY, AB])
+def test_bfs_kernels_match_a_naive_matrix_search(n, p, alphabet):
+    # the packed per-level kernels against plain matrix products, one
+    # generator_letters letter at a time, each acting on the left: the same
+    # distance for every element, and the same discovery order
+    fast = bfs_distance_map(n, p, alphabet)
+    assert list(fast.items()) == list(naive_distance_map(n, p, alphabet).items())
 
 
 def test_sl2_ball_layers():

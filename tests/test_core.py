@@ -109,6 +109,28 @@ def test_matz_shape_validation():
         MatFp.identity(3, 5) * MatFp.identity(3, 7)
 
 
+ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+HALF3 = ((1, 2.5, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MatZ(3, HALF3),
+        lambda: MatZ(3, ((1, "2", 0), (0, 1, 0), (0, 0, 1))),
+        lambda: MatFp(3, 7, HALF3),
+        lambda: MatFp(3, 7.0, ID3),
+        lambda: MatFp.from_rows(ID3, 7.0),
+    ],
+    ids=["matz-entry", "matz-str-entry", "matfp-entry", "matfp-modulus", "matfp-from-rows-modulus"],
+)
+def test_matrix_constructors_take_exact_integers_only(make):
+    # the same TypeError as from_rows gives for a float entry, at the input
+    # rather than from inside the engine, and no float modulus or residue is kept
+    with pytest.raises(TypeError, match="object cannot be interpreted as an integer$"):
+        make()
+
+
 def test_determinant_against_cofactor_expansion():
     rng = random.Random(23)
     for n in (2, 3, 4, 5):

@@ -235,6 +235,25 @@ def test_golden_bfs_distance_maps(n, p, alphabet):
     assert digest(lines) == GOLDEN_DISTANCE_MAPS[(n, p, alphabet)]
 
 
+# the same maps in the order bfs_distance_map returns them, which is the
+# discovery order of the search: levels in order, each level in the order
+# its states were first reached, neighbours in generator_letters order
+GOLDEN_DISCOVERY_ORDERS = {
+    (2, 5, ELEMENTARY): "7a810c43297c4c7d2dd7df649278e27566aa0f4168c1c17c5a7cd1e4a6937d5f",
+    (2, 5, AB): "a26e55565a288c4d9c13c7f1e70875d4fddbb417f7c69bf32493f1025762cbd6",
+    (3, 3, ELEMENTARY): "b3be3c3010d6b939f0c5eda2b6d16f199838f3378bb2a5a1f336eb628b5b9264",
+    (3, 3, AB): "d874d7af210dd338cd461c9367632e499e71f58cbad9b95ba593e5a23044a05a",
+    (4, 2, AB): "300beafa90654893fb3ea5b0b76b8c40b4475d32719e67d8b2d6f1db0a7c9a67",
+}
+
+
+@pytest.mark.parametrize("n,p,alphabet", list(GOLDEN_DISCOVERY_ORDERS))
+def test_golden_bfs_discovery_orders(n, p, alphabet):
+    dist = bfs_distance_map(n, p, alphabet)
+    lines = (f"{k} {v}" for k, v in dist.items())
+    assert digest(lines) == GOLDEN_DISCOVERY_ORDERS[(n, p, alphabet)]
+
+
 GOLDEN_AB = {
     3: "2b87db89b03bc56053d4fe7bd278bb0adcaa3e8657b16864a06df8785c264ad3",
     4: "3c82c3b06990736d73e0d16e1fbfcc05e21b1f8d467e4e548b2f9d5df5a3890d",
