@@ -1,27 +1,25 @@
 """Exhaustive breadth-first oracles over small groups.
 
 These searches provide ground truth for the constructive algorithms: exact
-distance maps and diameters for SL_n over tiny prime fields, the word
-ball around the identity in SL_2(Z), and optimal pair-reduction counts.
-All of them are exponential in nature, so every entry point checks its
-state budget before touching memory.  The SL_n(F_p) search keeps no
-Python object per state: visited states are bytes of a table indexed by
-the packed state, and each distance level is an array of packed states.
-Each alphabet has one per-level kernel that expands a whole distance
-level in a single loop, with its tables in locals, so no call and no
-neighbour list is made per state.
+distance maps and diameters for SL_n over tiny prime fields, and one
+search over integer states under row moves, which spans word balls of
+SL_N(Z) and gives the fewest moves that reduce a tuple to its gcd.  All
+of them are exponential in nature, so every entry point checks its state
+budget.  The SL_n(F_p) search keeps no Python object per state: visited
+states are bytes of a table indexed by the packed state, and each
+distance level is an array of packed states.  Each alphabet has one
+per-level kernel that expands a whole distance level in a single loop,
+with its tables in locals, so no call and no neighbour list is made per
+state.
 """
 
-import operator
 from array import array
 from collections import namedtuple
 from itertools import product
+from operator import add, index, itemgetter, sub
 
 from .core import AB, ELEMENTARY, abletter, eletter, sl_group_order
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError, InternalStateError
-from .fibonacci import fib
-
-SL2_RADIUS_LIMIT = 14
 
 
 def generator_letters(n: int, alphabet: str = ELEMENTARY) -> list:
@@ -244,66 +242,46 @@ def bfs_diameter(n: int, p: int, alphabet: str = ELEMENTARY, budget: int = DEFAU
     return DiameterReport(n, p, alphabet, sum(hist.values()), len(levels) - 1, hist)
 
 
-def bfs_ball_sl2z(radius: int) -> dict:
-    """Distances for the SL_2(Z) ball over e(1,2), e(2,1) and inverses.
+def row_move_distances(sources, rows: int, radius=None, box=None, budget: int = DEFAULT_BUDGET) -> dict:
+    """Distances from the sources to integer states under row moves, in discovery order.
 
-    Returns flat 4-tuple keys mapped to exact distances up to the given
-    radius.  The group is infinite, so the radius is capped at
-    SL2_RADIUS_LIMIT, which keeps the ball far below DEFAULT_BUDGET states
-    (radius 13 has 73 708); every state is also checked against the
-    Fibonacci norm bound sup <= F_(d+1).
+    A state is a flat tuple of `rows` equal rows, and the moves are
+    row_i += +-row_j, in generator_letters(rows) order.  The graph is
+    infinite: radius stops the search after that many levels, and box
+    drops every state with an entry over box in absolute value.  From the
+    identity it spans a word ball of SL_N(Z); from the tuples with one
+    nonzero entry (width 1) it gives the fewest moves to a gcd.  The
+    budget caps the states as they are added.
     """
-    if radius < 0:
-        raise DomainError(f"radius must be non-negative, got {radius}")
-    if radius > SL2_RADIUS_LIMIT:
-        raise DomainError(
-            f"radius {radius} exceeds the exhaustive limit of {SL2_RADIUS_LIMIT}"
-        )
-    start = (1, 0, 0, 1)
-    dist = {start: 0}
-    frontier = [start]
-    for d in range(1, radius + 1):
-        bound = fib(d + 1)
+    if radius is None and box is None:
+        raise DomainError("an unbounded search needs a radius or a box")
+    for name, bound in (("radius", radius), ("box", box)):
+        if bound is not None and bound < 0:
+            raise DomainError(f"{name} must be non-negative, got {bound}")
+    dist = {tuple(map(index, s)): 0 for s in sources}
+    size = len(next(iter(dist), ()))
+    if rows < 1 or not size or size % rows or any(len(s) != size for s in dist):
+        raise DomainError(f"sources are not tuples of {rows} equal rows")
+    width = size // rows
+    # a move is s op get(s + (0,)): get picks row_j under row_i and the pad 0 elsewhere
+    moves = []
+    for l in generator_letters(rows):
+        picks = [size] * size
+        picks[(l.i - 1) * width : l.i * width] = range((l.j - 1) * width, l.j * width)
+        moves.append((itemgetter(*picks), add if l.e == 1 else sub))
+    frontier = list(dist)
+    d = 0
+    while frontier and d != radius:
+        d += 1
         nxt = []
-        for a, b, c, e in frontier:
-            # rows (a, b) and (c, e): e(1,2)^+-1 adds +-row 2 to row 1 and
-            # e(2,1)^+-1 +-row 1 to row 2, in the order of generator_letters(2)
-            for k2 in ((a + c, b + e, c, e), (a - c, b - e, c, e),
-                       (a, b, c + a, e + b), (a, b, c - a, e - b)):
-                if k2 not in dist:
-                    if max(abs(x) for x in k2) > bound:
-                        raise InternalStateError(
-                            f"element {k2} at distance {d} breaks the F_{d + 1} norm bound"
-                        )
-                    dist[k2] = d
-                    nxt.append(k2)
-        if len(dist) > DEFAULT_BUDGET:
-            raise BudgetExceededError(f"ball exceeded the budget of {DEFAULT_BUDGET} states")
+        for s in frontier:
+            padded = s + (0,)
+            for get, op in moves:
+                t = tuple(map(op, s, get(padded)))
+                if t not in dist and (box is None or max(map(abs, t)) <= box):
+                    if len(dist) >= budget:
+                        raise BudgetExceededError(f"search exceeded the budget of {budget} states")
+                    dist[t] = d
+                    nxt.append(t)
         frontier = nxt
     return dist
-
-
-def min_pair_reduction_steps(a: int, b: int, max_steps: int = 64) -> int:
-    """Fewest single-multiple moves sending (a, b) to a pair with a zero.
-
-    Moves are a := a +- b and b := b +- a.  Exact by breadth-first search;
-    states beyond four times the starting magnitude are pruned, which no
-    shortest path at these sizes ever needs.
-    """
-    a, b = operator.index(a), operator.index(b)
-    if a == 0 or b == 0:
-        return 0
-    cap = 4 * max(abs(a), abs(b)) + 4
-    seen = {(a, b)}
-    frontier = [(a, b)]
-    for d in range(1, max_steps + 1):
-        nxt = []
-        for x, y in frontier:
-            for u, v in ((x + y, y), (x - y, y), (x, y + x), (x, y - x)):
-                if u == 0 or v == 0:
-                    return d
-                if abs(u) <= cap and abs(v) <= cap and (u, v) not in seen:
-                    seen.add((u, v))
-                    nxt.append((u, v))
-        frontier = nxt
-    raise BudgetExceededError(f"no reduction found within {max_steps} moves")

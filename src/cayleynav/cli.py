@@ -21,6 +21,8 @@ import sys
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, CayleyNavError, DomainError, ParseError
 
+SL2_RADIUS_LIMIT = 14  # cap on the exhaustive SL_2(Z) ball: radius 14 has 147 436 states
+
 
 def _read_text(path: str) -> str:
     try:
@@ -111,15 +113,15 @@ def cmd_gcd(args) -> int:
         f"subtractive: steps={trace.step_count} final={trace.final}",
         f"accelerated: length={len(res.word)} bound={bound:.1f} final={res.final}",
     ]
-    if args.trace and args.json:
+    if args.trace and not args.json:
+        tuples = trace.iter_tuples()  # refuses before any output, then streams up to 10**6 lines
+        print(*lines, "subtractive trace:", sep="\n")
+        sys.stdout.writelines(f"  {t}\n" for t in tuples)
+        steps = (f"  row {st.target} += {st.multiple} * row {st.source}" for st in res.quotient_steps)
+        print("quotient steps:", *steps, sep="\n")
+        return 0
+    if args.trace:
         payload["subtractive"]["trace"] = trace.tuples()
-    elif args.trace:
-        lines.append("subtractive trace:")
-        lines.extend(f"  {t}" for t in trace.tuples())
-        lines.append("quotient steps:")
-        lines.extend(
-            f"  row {st.target} += {st.multiple} * row {st.source}" for st in res.quotient_steps
-        )
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -248,17 +250,23 @@ def cmd_bfs_diameter(args) -> int:
 
 
 def cmd_sl2_lowerbound(args) -> int:
-    from .bfs import bfs_ball_sl2z
+    from .bfs import row_move_distances
+    from .errors import InternalStateError
+    from .fibonacci import fib
 
-    ball = bfs_ball_sl2z(args.radius)
-    dists = {}
-    lines = [f"ball size at radius {args.radius}: {len(ball)}"]
-    for k in range(1, args.radius + 1):
-        d = ball.get((1, 0, k, 1))
-        dists[k] = d
-        lines.append(f"d(e(2,1)^{k}) = {d}")
+    r = args.radius
+    if r > SL2_RADIUS_LIMIT:
+        raise DomainError(f"radius {r} exceeds the exhaustive limit of {SL2_RADIUS_LIMIT}")
+    ball = row_move_distances(((1, 0, 0, 1),), 2, radius=r)
+    bounds = [fib(d + 1) for d in range(r + 1)]  # the sup norm at distance d is at most F_(d+1)
+    for key, d in ball.items():
+        if max(map(abs, key)) > bounds[d]:
+            raise InternalStateError(f"element {key} at distance {d} breaks the F_{d + 1} norm bound")
+    dists = {k: ball.get((1, 0, k, 1)) for k in range(1, r + 1)}
+    lines = [f"ball size at radius {r}: {len(ball)}"]
+    lines += (f"d(e(2,1)^{k}) = {d}" for k, d in dists.items())
     lines.append("distance grows linearly in the exponent: no compression in SL_2")
-    _emit(args, {"radius": args.radius, "ball_size": len(ball), "distances": dists}, "\n".join(lines))
+    _emit(args, {"radius": r, "ball_size": len(ball), "distances": dists}, "\n".join(lines))
     return 0
 
 

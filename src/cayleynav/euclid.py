@@ -54,17 +54,26 @@ class EuclidTrace(namedtuple("EuclidTrace", "initial steps final")):
                 "(euclid.SUBTRACTIVE_STEP_BUDGET)"
             )
 
-    def tuples(self) -> list[tuple[int, ...]]:
-        """Every intermediate tuple, one per unit move, from initial to final inclusive."""
+    def iter_tuples(self):
+        """Every intermediate tuple, one per unit move, from initial to final inclusive.
+
+        The budget is checked on the call; the tuples then come one at a time.
+        """
         self._check_expandable()
-        vals = list(self.initial)
-        out = [self.initial]
-        for st in self.steps:
-            sign = 1 if st.multiple > 0 else -1
-            for _ in range(abs(st.multiple)):
-                vals[st.target - 1] += sign * vals[st.source - 1]
-                out.append(tuple(vals))
-        return out
+
+        def expand(vals):
+            yield self.initial
+            for st in self.steps:
+                sign = 1 if st.multiple > 0 else -1
+                for _ in range(abs(st.multiple)):
+                    vals[st.target - 1] += sign * vals[st.source - 1]
+                    yield tuple(vals)
+
+        return expand(list(self.initial))
+
+    def tuples(self) -> list[tuple[int, ...]]:
+        """The list of iter_tuples()."""
+        return list(self.iter_tuples())
 
     def word(self) -> Word:
         """Premultiplier word: evaluating it on initial yields final."""

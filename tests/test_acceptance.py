@@ -10,7 +10,7 @@ import random
 import time
 
 from cayleynav.abwords import eij_ab_word
-from cayleynav.bfs import bfs_ball_sl2z, bfs_diameter, bfs_distance_map
+from cayleynav.bfs import bfs_diameter, bfs_distance_map, row_move_distances
 from cayleynav.compression import _fused_template, compress_power
 from cayleynav.core import (
     MatFp,
@@ -134,7 +134,7 @@ def test_acceptance_04_accelerated_reduction_letter_budget():
 
 def test_acceptance_05_no_compression_in_dimension_two():
     start = time.monotonic()
-    ball = bfs_ball_sl2z(12)
+    ball = row_move_distances(((1, 0, 0, 1),), 2, radius=12)
     ok = len(ball) == 36844
     for k in range(1, 13):
         ok = ok and ball[(1, 0, k, 1)] == k

@@ -1,22 +1,25 @@
+import math
 import tracemalloc
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cayleynav.bfs import (
     DEFAULT_BUDGET,
-    SL2_RADIUS_LIMIT,
     DiameterReport,
-    bfs_ball_sl2z,
     bfs_diameter,
     bfs_distance_map,
     generator_letters,
-    min_pair_reduction_steps,
+    row_move_distances,
     sl_group_order,
 )
-from cayleynav.core import AB, ELEMENTARY, MatFp, abletter, eletter, letter_matrix_z
+from cayleynav.cli import SL2_RADIUS_LIMIT, main
+from cayleynav.core import AB, ELEMENTARY, MatFp, MatZ, abletter, eletter, letter_matrix_z
 from cayleynav.errors import BudgetExceededError, DomainError
-from cayleynav.euclid import subtractive_gcd
+from cayleynav.euclid import accelerated_reduce, subtractive_gcd
 from cayleynav.fibonacci import fib
+from cayleynav.normalform import normal_form
 
 
 def gl_order(n, p):
@@ -161,20 +164,31 @@ def test_bfs_kernels_match_a_naive_matrix_search(n, p, alphabet):
     assert list(fast.items()) == list(naive_distance_map(n, p, alphabet).items())
 
 
+def sl2_ball(radius, budget=DEFAULT_BUDGET):
+    return row_move_distances(((1, 0, 0, 1),), 2, radius=radius, budget=budget)
+
+
+def reduction_optimum(n, box):
+    """Fewest row moves from each tuple of [-box, box]^n to one with a single nonzero entry."""
+    units = [tuple(int(k == pos) for k in range(n)) for pos in range(n)]
+    sources = [tuple(v * x for x in unit) for unit in units for v in range(-box, box + 1) if v]
+    return row_move_distances(sources, n, box=box)
+
+
 def test_sl2_ball_layers():
-    ball = bfs_ball_sl2z(0)
+    ball = sl2_ball(0)
     assert ball == {(1, 0, 0, 1): 0}
-    ball = bfs_ball_sl2z(1)
+    ball = sl2_ball(1)
     assert len(ball) == 5
     assert ball[(1, 1, 0, 1)] == 1
     assert ball[(1, 0, -1, 1)] == 1
-    ball = bfs_ball_sl2z(5)
+    ball = sl2_ball(5)
     assert len(ball) == 263
 
 
 def test_sl2_ball_norm_growth_is_sharp():
     # the extreme elements of each layer reach the Fibonacci bound exactly
-    ball = bfs_ball_sl2z(8)
+    ball = sl2_ball(8)
     peak = {}
     for key, d in ball.items():
         peak[d] = max(peak.get(d, 0), max(abs(x) for x in key))
@@ -182,29 +196,81 @@ def test_sl2_ball_norm_growth_is_sharp():
         assert peak[d] == fib(d + 1)
 
 
-def test_sl2_ball_radius_limits():
+def test_sl2_ball_radius_limits(capsys):
     with pytest.raises(DomainError):
-        bfs_ball_sl2z(-1)
-    with pytest.raises(DomainError):
-        bfs_ball_sl2z(SL2_RADIUS_LIMIT + 1)
+        sl2_ball(-1)
+    # the command refuses past its limit before any search
+    assert main(["sl2-lowerbound", str(SL2_RADIUS_LIMIT + 1)]) == 3
+    assert capsys.readouterr().err == "error: radius 15 exceeds the exhaustive limit of 14\n"
 
 
 def test_min_pair_reduction_steps_linear_family():
+    opt = reduction_optimum(2, 16)
     for n in range(1, 13):
-        assert min_pair_reduction_steps(1, n) == n
-    assert min_pair_reduction_steps(0, 5) == 0
-    assert min_pair_reduction_steps(7, 0) == 0
+        assert opt[(1, n)] == n
+    assert opt[(0, 5)] == 0
+    assert opt[(7, 0)] == 0
 
 
 def test_min_pair_reduction_never_beats_by_much():
     # optimal play is allowed to beat the deterministic rule, never to lose
+    opt = reduction_optimum(2, 16)
     for a in range(1, 15):
         for b in range(1, 15):
-            opt = min_pair_reduction_steps(a, b)
-            det = subtractive_gcd((a, b)).step_count
-            assert opt <= det
+            assert opt[(a, b)] <= subtractive_gcd((a, b)).step_count
 
 
 def test_min_pair_reduction_budget():
     with pytest.raises(BudgetExceededError):
-        min_pair_reduction_steps(1, 100, max_steps=5)
+        row_move_distances([(1, 0), (0, 1)], 2, box=100, budget=5)
+
+
+def test_row_move_distances_refusals():
+    # the budget holds as states are added, so no level overshoots it
+    assert len(sl2_ball(5, budget=263)) == 263
+    with pytest.raises(BudgetExceededError):
+        sl2_ball(5, budget=262)
+    with pytest.raises(BudgetExceededError):
+        sl2_ball(8, budget=100)
+    with pytest.raises(DomainError):
+        row_move_distances([(1, 0)], 2)
+    with pytest.raises(DomainError):
+        row_move_distances([(1, 0)], 2, box=-1)
+    with pytest.raises(DomainError):
+        row_move_distances([(1, 0, 0)], 2, box=4)
+    with pytest.raises(DomainError):
+        row_move_distances([], 2, box=4)
+
+
+def test_euclid_optimum_on_triples():
+    # the exact optimum is the same in both boxes, so no shortest path leaves the smaller one
+    opt, wide = reduction_optimum(3, 12), reduction_optimum(3, 16)
+    cube = list(product(range(-8, 9), repeat=3))
+    assert all(opt[k] == wide[k] for k in cube if any(k))
+    triples = [k for k in cube if sum(1 for x in k if x) >= 2]
+    assert len(triples) == 4864
+    ratios = {}
+    for k in triples:
+        length = len(accelerated_reduce(k).word)
+        assert length >= opt[k]
+        ratios[k] = Fraction(length, opt[k])
+    assert round(float(sum(ratios.values()) / len(ratios)), 4) == 1.3613
+    assert max(ratios.values()) == ratios[(-6, -1, -8)] == Fraction(14, 6)
+    assert opt[(-6, -1, -8)] == 6
+    # the paper's C * N * log n: the optimum over ln of the largest entry
+    worst = max(opt[k] / math.log(max(map(abs, k))) for k in triples if max(map(abs, k)) >= 2)
+    assert round(worst, 3) == 4.328
+
+
+def test_sl3_ball_and_normal_form_lengths():
+    ball = row_move_distances([(1, 0, 0, 0, 1, 0, 0, 0, 1)], 3, radius=5)
+    assert [list(ball.values()).count(d) for d in range(6)] == [1, 12, 108, 762, 4572, 24708]
+    near = [(k, d) for k, d in ball.items() if d <= 4]
+    assert len(near) == 5455
+    worst = 0.0
+    for key, d in near:
+        length = len(normal_form(MatZ.from_rows([key[0:3], key[3:6], key[6:9]])))
+        assert length >= d
+        if d:
+            worst = max(worst, length / d)
+    assert worst <= 6.0

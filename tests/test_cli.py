@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from cayleynav.core import (
     least_abs_residue,
 )
 from cayleynav.errors import DomainError, ParseError
+from cayleynav.euclid import subtractive_gcd
 from cayleynav.fibonacci import zeckendorf_length_bound
 from cayleynav.formats import parse_matrix_text, parse_word_text, word_to_json
 
@@ -543,6 +545,43 @@ def test_cli_gcd_step_budget_exits_4(monkeypatch, capsys):
     # without --trace nothing is expanded, so the budget does not apply
     rc, out, _ = run(capsys, "gcd", "1", "1000")
     assert rc == 0 and out.startswith("subtractive: steps=1000 final=(0, 1)\n")
+
+
+class DigestSink:
+    """A stdout that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+def test_cli_gcd_text_trace_is_written_as_it_is_expanded(monkeypatch, capsys):
+    argv = ["gcd", "--trace", "1", "100000"]
+    rc, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    start = lines.index("subtractive trace:") + 1
+    assert lines[start:-2] == [f"  {t}" for t in subtractive_gcd((1, 100000)).tuples()]
+    assert lines[-2:] == ["quotient steps:", "  row 3 += -100000 * row 2"]
+    # held whole, the 10**5 tuples and their lines would take about 15 MB
+    sink = DigestSink()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.sha.hexdigest() == hashlib.sha256(out.encode()).hexdigest()
+    assert peak < 1_000_000, peak
 
 
 def test_cli_gcd_counts_beyond_the_step_budget(capsys):

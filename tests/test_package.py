@@ -203,7 +203,7 @@ def test_modp_sees_a_determinant_wrapped_before_it_loads():
         "from cayleynav.euclid import accelerated_reduce; accelerated_reduce((0, 5.5, 2))",
         "from cayleynav.core import Word; from cayleynav.euclid import replay_word_on_tuple; "
         "replay_word_on_tuple(Word(3, ()), (1, 2.5, 3))",
-        "from cayleynav.bfs import min_pair_reduction_steps; min_pair_reduction_steps(5.5, 2)",
+        "from cayleynav.bfs import row_move_distances; row_move_distances([(5.5, 2)], 2, box=8)",
     ],
 )
 def test_entry_points_take_exact_integers_only(call):
