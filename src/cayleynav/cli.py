@@ -113,16 +113,24 @@ def cmd_gcd(args) -> int:
         f"subtractive: steps={trace.step_count} final={trace.final}",
         f"accelerated: length={len(res.word)} bound={bound:.1f} final={res.final}",
     ]
-    if args.trace and not args.json:
-        tuples = trace.iter_tuples()  # refuses before any output, then streams up to 10**6 lines
-        print(*lines, "subtractive trace:", sep="\n")
-        sys.stdout.writelines(f"  {t}\n" for t in tuples)
-        steps = (f"  row {st.target} += {st.multiple} * row {st.source}" for st in res.quotient_steps)
-        print("quotient steps:", *steps, sep="\n")
+    if not args.trace:
+        _emit(args, payload, "\n".join(lines))
         return 0
-    if args.trace:
-        payload["subtractive"]["trace"] = trace.tuples()
-    _emit(args, payload, "\n".join(lines))
+    tuples = trace.iter_tuples()  # refuses before any output, then streams up to 10**6 tuples
+    if args.json:
+        import json
+
+        # with sorted keys, subtractive.trace is the last key of the document:
+        # the trace goes in front of its two closing braces, one tuple at a time
+        head = json.dumps(payload, sort_keys=True)[:-2]
+        sys.stdout.write(f'{head}, "trace": [')
+        sys.stdout.writelines(f"{', ' if k else ''}[{', '.join(map(str, t))}]" for k, t in enumerate(tuples))
+        sys.stdout.write("]}}\n")
+        return 0
+    print(*lines, "subtractive trace:", sep="\n")
+    sys.stdout.writelines(f"  {t}\n" for t in tuples)
+    steps = (f"  row {st.target} += {st.multiple} * row {st.source}" for st in res.quotient_steps)
+    print("quotient steps:", *steps, sep="\n")
     return 0
 
 

@@ -31,6 +31,17 @@ letters), and compress_power spells a batch of one target.  aux is
 the first index of a given pool outside the source and the fused targets;
 when the pool has none, the fused targets are split in two halves and
 each half takes a member of the other as aux.
+
+The half walk is the second half (t s)^-n u of the template on its own.
+The first half only cancels what it leaves on the column paired with aux,
+so on the template with source d and aux c the half walk is the product
+of e(i, c)^m_i e(i, d)^x_i, where x_i = sign(m_i) * sum F_(k-1) over the
+Zeckendorf indices k of |m_i|: the exact power on column c and junk on
+column d, in 4 max n_i + sum r_i letters.  It keeps the positive layout
+whatever the signs, since each carried letter has its own sign.  A caller
+that does not mind the junk, because column d is cleared later anyway,
+asks _batch_letters for it; a target no longer than its own half walk,
+which covers every |m| <= 14, stays plain.
 """
 
 import operator
@@ -38,10 +49,11 @@ from functools import lru_cache
 
 from .core import Word, _word, eletter
 from .errors import InvalidGeneratorError, UnsupportedDimensionError
-from .fibonacci import zeckendorf
+from .fibonacci import _fib_table, zeckendorf
 
 # Every template has 4 + 8 * (k_max // 2) + 2 r >= 14 letters (k_max >= 2,
-# r >= 1), so a power with |m| up to this is spelled plainly without looking.
+# r >= 1), and every half walk of an |m| up to 14 has at least |m|, so a
+# power with |m| up to this is spelled plainly without looking.
 _PLAIN_MAX = 14
 
 
@@ -57,7 +69,7 @@ def _triple_letters(i: int, aux: int, j: int) -> tuple:
     )
 
 
-def _fused_template(j: int, aux: int, fused) -> list:
+def _fused_template(j: int, aux: int, fused, walk_only: bool = False) -> list:
     """One template carrying every (i, ks, m) in fused, with source j.
 
     With t = e(aux, j), s = e(j, aux) and n the largest ks[-1] // 2 the
@@ -67,7 +79,8 @@ def _fused_template(j: int, aux: int, fused) -> list:
     raised to the sign of its m in u and the inverse letter in v.  When the
     first m is negative, t and s trade places with their inverses and the
     finished list is reversed, so negating every exponent gives the inverse
-    template letter for letter.
+    template letter for letter.  With walk_only, only the half walk
+    (t s)^-n u is returned, in the positive layout whatever the signs.
     """
     carried: dict[int, list] = {}
     for i, ks, m in fused:
@@ -75,26 +88,37 @@ def _fused_template(j: int, aux: int, fused) -> list:
         pairs = ((top, top_i), (mid, mid_i)) if m > 0 else ((top_i, top), (mid_i, mid))
         for k in ks:
             carried.setdefault(k >> 1, []).append(pairs[k & 1])
-    inverse = fused[0][2] < 0
+    inverse = not walk_only and fused[0][2] < 0
     if inverse:
         t, s, t_i, s_i = t_i, s_i, t, s
-    half = max(carried)
-    u, v = [], []
-    for level in range(half, -1, -1):
-        for a, b in carried.get(level, ()):
-            u.append(a)
-            v.append(b)
+    top_level = max(carried)
+    # the walk as (u letter, v letter) pairs; a (t, s) step is the same in both
+    walk, step = [], ((t, t), (s, s))
+    for level in range(top_level, -1, -1):
+        walk += carried.get(level, ())
         if level:
-            u += (t, s)
-            v += (t, s)
-    ts_inv = (s_i, t_i) * half
-    out = [t_i, *ts_inv, *v, t_i, *ts_inv, *u, t, t]
+            walk += step
+    u = [a for a, _ in walk]
+    ts_inv = (s_i, t_i) * top_level
+    if walk_only:
+        return [*ts_inv, *u]
+    out = [t_i, *ts_inv, *[b for _, b in walk], t_i, *ts_inv, *u, t, t]
     if inverse:
         out.reverse()
     return out
 
 
-def _batch_letters(out: list, j: int, powers, pool) -> list:
+@lru_cache(maxsize=None)
+def _plain_letters(i: int, j: int, m: int) -> tuple:
+    """The letters of e(i, j)^m spelled plainly, cached.
+
+    Only an m no longer than its template is spelled plainly, |m| <= 41,
+    so the cache holds at most 83 entries per index pair.
+    """
+    return (eletter(i, j, 1 if m > 0 else -1),) * abs(m)
+
+
+def _batch_letters(out: list, j: int, powers, pool, junk=None) -> list:
     """Append the letters of the product of e(i, j)^m over (i, m) in powers to out.
 
     The targets i are distinct and differ from j.  Plain targets come
@@ -102,27 +126,42 @@ def _batch_letters(out: list, j: int, powers, pool) -> list:
     of pool outside j and the fused targets; without one, the fused
     targets are split into two templates, each using the first target of
     the other half.  The indices are valid by construction.  Returns out.
+
+    junk, when given, is a pair (d, moved) with d outside j and the
+    targets.  The fused targets then take one half walk, with source d and
+    aux j, which also raises each of them by e(i, d)^x; (i, x) is appended
+    to moved.  Each target's decomposition is computed once, and x is read
+    from the Fibonacci table that computed it.
     """
     fused = []
     for i, m in powers:
         mag = abs(m)
         if mag > _PLAIN_MAX:
             ks = zeckendorf(mag).indices
-            if mag > 4 + 8 * (ks[-1] >> 1) + 2 * len(ks):
+            walk = 4 * (ks[-1] >> 1) + len(ks)  # the full template has 4 + 2 * walk
+            if mag > (walk if junk else 4 + 2 * walk):
                 fused.append((i, ks, m))
                 continue
-        if mag:
-            out.extend((eletter(i, j, 1 if m > 0 else -1),) * mag)
-    if fused:
-        busy = {i for i, _, _ in fused}
-        aux = next((a for a in pool if a != j and a not in busy), None)
-        if aux is not None:
-            out += _fused_template(j, aux, fused)
-        else:
-            half = len(fused) // 2
-            first, second = fused[:half], fused[half:]
-            out += _fused_template(j, second[0][0], first)
-            out += _fused_template(j, first[0][0], second)
+        out += _plain_letters(i, j, m)
+    if not fused:
+        return out
+    if junk:
+        d, moved = junk
+        out += _fused_template(d, j, fused, walk_only=True)
+        fibs = _fib_table(0)  # holds every F_k of fused, and so every F_(k-1)
+        for i, ks, m in fused:
+            x = sum(fibs[k - 1] for k in ks)
+            moved.append((i, x if m > 0 else -x))
+        return out
+    busy = {i for i, _, _ in fused}
+    aux = next((a for a in pool if a != j and a not in busy), None)
+    if aux is not None:
+        out += _fused_template(j, aux, fused)
+    else:
+        half = len(fused) // 2
+        first, second = fused[:half], fused[half:]
+        out += _fused_template(j, second[0][0], first)
+        out += _fused_template(j, first[0][0], second)
     return out
 
 

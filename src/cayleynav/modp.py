@@ -6,7 +6,10 @@ entries are lifted to residues in [0, p), the lifted columns are
 gcd-reduced by N-ary rounds of compressed batches, above-diagonal entries
 are cleared one column per batch with exponents taken mod p, so every
 target costs O(log p) letters, and the diagonal endgame sweeps the
-leftover diagonal to the identity.
+leftover diagonal to the identity.  Every column but the last is cleared
+with half walks, about half of a template each: the junk they leave lands
+on column N, whose entries are arbitrary residues until it is cleared
+last, so over Z/p it costs nothing.
 The pivots are arbitrary nonzero residues rather than +-1, so each gadget
 diag(a^-1, a) costs O(log p) letters rather than six, and a pivot of 1 is
 skipped.  As in the integer pipeline, the inverse of every premultiplier

@@ -10,19 +10,24 @@ The unit of work is a batch: row_i += q_i * row_j for several targets i
 and one common source j.  Its premultipliers commute, so it emits the
 letters of the product of e(i, j)^-q_i as one fused template
 (compression._batch_letters), without building a Word per batch.  A
-single row operation is a batch of one, and a signed swap is three row
-operations, so batch is the only place the engine spells letters.  The
-letters are valid by construction, so reduce wraps the output with
-core._word, and check_identity vouches for what they evaluate to.
+single row operation is a batch of one, spelled plainly at once when
+|q| <= 14, and a signed swap is three row operations, so batch is the
+only place the engine spells letters.  The letters are valid by
+construction, so reduce wraps the output with core._word, and
+check_identity vouches for what they evaluate to.
 
 Column clearing folds the column into a carrier row by N-ary Euclidean
 rounds (fold, which euclid.accelerated_reduce also runs, on a one-column
 matrix): the smallest nonzero entry divides every other one, all in one
 batch, until a single nonzero entry is left, and a signed swap moves the
 carrier onto the diagonal.  Upper clearing zeroes the strict upper
-triangle one column per batch, dividing out each unit pivot; the diagonal
-endgame sweeps the remaining diagonal of units to the identity with the
-gadget diag(a^-1, a), which over Z has a = -1.  A batch takes its aux
+triangle one column per batch, dividing out each unit pivot.  Over Z/p a
+column c < N takes the half walk of each template, which leaves junk
+multiples of row N on the targets, on column N only; column N, which
+takes the full template, clears them with the rest.  Over Z the junk
+would grow the entries, so every column takes the full template.  The
+diagonal endgame sweeps the remaining diagonal of units to the identity
+with the gadget diag(a^-1, a), which over Z has a = -1.  A batch takes its aux
 index from a pool: while folding three or more active rows, the active
 rows and then the finished ones (rows 1..col-1 when clear_column folds
 column col; euclid.accelerated_reduce has none, so its letters stay on
@@ -34,7 +39,7 @@ integers and the exponents stay below p, and upper clearing and the
 endgame take their exponents in the least-absolute window (-p/2, p/2].
 """
 
-from .compression import _batch_letters
+from .compression import _PLAIN_MAX, _batch_letters, _plain_letters
 from .core import Word, _word, inverse_mod, least_abs_residue
 from .errors import InternalStateError, UnsupportedDimensionError
 
@@ -77,22 +82,35 @@ class RowReducer:
     def _is_unit(self, v: int) -> bool:
         return v in (1, -1) if self.p is None else v != 0
 
-    def batch(self, j: int, mults, pool) -> None:
+    def batch(self, j: int, mults, pool, junk: int | None = None) -> None:
         """row_i += q * row_j for every (i, q) in mults, as one batch.
 
         The targets i are distinct and differ from j; the fused template
-        takes its aux index from pool.
+        takes its aux index from pool.  A single target with |q| <=
+        _PLAIN_MAX is spelled plainly at once, without the batch speller.
+        With a junk column d outside j and the targets (over Z/p only),
+        the fused targets take the half walk: each of them also gets
+        row_i -= x * row_d, with the x compression._batch_letters reports.
         """
         rows, p, src = self.rows, self.p, self.rows[j - 1]
-        powers = []
         for i, q in mults:
             if p is None:
                 rows[i - 1] = new = [x + q * y for x, y in zip(rows[i - 1], src)]
                 self.peak = max(self.peak, max(map(abs, new)))
             else:
                 rows[i - 1] = [(x + q * y) % p for x, y in zip(rows[i - 1], src)]
-            powers.append((i, -q))
-        _batch_letters(self.out, j, powers, pool)
+        if len(mults) == 1 and -_PLAIN_MAX <= q <= _PLAIN_MAX:  # (i, q) is the one target
+            self.out += _plain_letters(i, j, -q)
+            return
+        powers = [(i, -q) for i, q in mults]
+        if junk is None:
+            _batch_letters(self.out, j, powers, pool)
+            return
+        moved = []
+        _batch_letters(self.out, j, powers, pool, (junk, moved))
+        row_d = rows[junk - 1]
+        for i, x in moved:
+            rows[i - 1] = [(y - x * z) % p for y, z in zip(rows[i - 1], row_d)]
 
     def add(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j, emitting the letters of compress_power(n, i, j, -q)."""
@@ -170,7 +188,11 @@ class RowReducer:
 
         Column j is one batch with source j, its aux drawn from all rows.
         Every pivot must be a unit; it is divided out of the exponent and
-        stays on the diagonal for clear_diagonal.
+        stays on the diagonal for clear_diagonal.  Over Z/p every column
+        j < N takes the half walks with junk column N: row N is zero left
+        of column N, so the junk moves no cleared entry, and column N is
+        cleared last, whatever its entries.  Column N, and every column
+        over Z, where junk would grow the entries, take the full template.
         """
         n, rows = self.n, self.rows
         for r in range(n):
@@ -181,7 +203,8 @@ class RowReducer:
             column = [(i, rows[i - 1][j - 1]) for i in range(1, j)]
             mults = [(i, self._lift(-v * inv)) for i, v in column if v]
             if mults:
-                self.batch(j, mults, self.all_rows)
+                junk = n if self.p is not None and j < n else None
+                self.batch(j, mults, self.all_rows, junk)
 
     def clear_diagonal(self) -> None:
         """Sweep a diagonal of units to the identity, two pivots at a time.

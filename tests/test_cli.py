@@ -584,6 +584,40 @@ def test_cli_gcd_text_trace_is_written_as_it_is_expanded(monkeypatch, capsys):
     assert peak < 1_000_000, peak
 
 
+@pytest.mark.parametrize("entries", [(-32, 8, -12), (12, 8, 30), (1, 999), (0, 0, 7), (-5, 3)])
+def test_cli_gcd_json_trace_is_the_document_streamed(capsys, entries):
+    argv = ["gcd", "--trace", "--json", "--", *map(str, entries)]
+    rc, out, _ = run(capsys, *argv)
+    # the same document as json.dumps of the payload holding the whole trace
+    rc_plain, plain, _ = run(capsys, "gcd", "--json", "--", *map(str, entries))
+    doc = json.loads(plain)
+    doc["subtractive"]["trace"] = subtractive_gcd(entries).tuples()
+    assert rc == rc_plain == 0
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_cli_gcd_json_trace_is_written_as_it_is_expanded(monkeypatch, capsys):
+    # over the step budget nothing is printed, as in text mode
+    monkeypatch.setattr("cayleynav.euclid.SUBTRACTIVE_STEP_BUDGET", 100)
+    rc, out, err = run(capsys, "gcd", "--trace", "--json", "1", "1000")
+    assert rc == 4 and out == "" and err.startswith("error: subtractive gcd needs more than 100 steps")
+    monkeypatch.undo()
+    argv = ["gcd", "--trace", "--json", "1", "100000"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and len(json.loads(out)["subtractive"]["trace"]) == 100001
+    # held whole, the 10**5 tuples and the document take about 14 MB
+    sink = DigestSink()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.sha.hexdigest() == hashlib.sha256(out.encode()).hexdigest()
+    assert peak < 1_000_000, peak
+
+
 def test_cli_gcd_counts_beyond_the_step_budget(capsys):
     rc, out, err = run(capsys, "gcd", "1", "1000000000")
     assert (rc, err) == (0, "")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from functools import reduce
 
@@ -330,3 +331,70 @@ def test_one_target_batch_is_the_single_power_spelling():
             assert tuple(letters) == compress_power(n, i, j, m, aux).letters
             if (i, j, aux) == (1, 2, 3) or m % 37 == 0:
                 assert letters == reference_spelling(n, i, j, m, aux)
+
+
+def half_walk_junk(m):
+    """sign(m) * sum F_(k-1) over the Zeckendorf indices k of |m|, and its closed form.
+
+    The closed form floor((|m| + 1) / tau) is computed with an integer
+    square root, independently of the Fibonacci table.
+    """
+    x = sum(fib(k - 1) for k in zeckendorf(abs(m)).indices)
+    a = abs(m) + 1
+    assert x == (math.isqrt(5 * a * a) - a) // 2
+    return x if m > 0 else -x
+
+
+def test_half_walk_evaluates_to_the_powers_and_their_junk():
+    rng = random.Random("batch:half")
+    for n in range(4, 8):
+        for _ in range(60):
+            c, d = rng.sample(range(1, n + 1), 2)
+            free = [i for i in range(1, n + 1) if i not in (c, d)]
+            targets = rng.sample(free, rng.randint(1, min(4, len(free))))
+            powers = []
+            for i in targets:
+                mag = (rng.randint(1, 40), rng.randint(1, 10**9), rng.randint(1, 2**61))[rng.randrange(3)]
+                powers.append((i, rng.choice((1, -1)) * mag))
+            moved = []
+            letters = _batch_letters([], c, powers, range(1, n + 1), (d, moved))
+            # the half walk takes every target longer than its own walk
+            half = {}
+            for i, m in powers:
+                ks = zeckendorf(abs(m)).indices
+                if abs(m) > 4 * (ks[-1] // 2) + len(ks):
+                    half[i] = ks
+            assert moved == [(i, half_walk_junk(m)) for i, m in powers if i in half]
+            rows = [[int(r == col) for col in range(n)] for r in range(n)]
+            for i, m in powers:
+                rows[i - 1][c - 1] = m
+            for i, x in moved:
+                rows[i - 1][d - 1] = x
+            assert eval_word_z(Word(n, tuple(letters))) == MatZ.from_rows(rows)
+            assert {x for l in letters for x in (l.i, l.j)} <= set(targets) | {c, d}
+            # 4 n_max + sum r_i for the walk, plus the plain targets
+            cost = sum(abs(m) for i, m in powers if i not in half)
+            if half:
+                cost += 4 * max(ks[-1] // 2 for ks in half.values()) + sum(map(len, half.values()))
+            assert len(letters) == cost
+            assert len(letters) <= len(_batch_letters([], c, powers, (d,)))
+
+
+def test_half_walk_known_lengths():
+    # (m, half walk letters, full template letters, junk)
+    for m, walk, full, x in (
+        (100, 23, 50, 62),
+        (12345, 45, 94, 7630),
+        (10**6 + 3, 66, 136, 618036),
+        (2**40 + 17, 132, 268, 679535557002),
+    ):
+        for sign in (1, -1):
+            moved = []
+            letters = _batch_letters([], 2, [(1, sign * m)], (4,), (4, moved))
+            assert len(letters) == walk and moved == [(1, sign * x)]
+            assert len(_batch_letters([], 2, [(1, sign * m)], (4,))) == full
+            # the half walk keeps the positive layout: the carried letters
+            # take the sign of m, the (t, s) steps do not change
+            t, s, top = eletter(2, 4), eletter(4, 2), zeckendorf(m).indices[-1] // 2
+            assert [l for l in letters if l.i != 1] == [s.inverse(), t.inverse()] * top + [t, s] * top
+            assert {l.e for l in letters if l.i == 1} == {sign}

@@ -112,10 +112,10 @@ def test_golden_word_for_modp_all_of_sl3_f2():
 
 
 GOLDEN_FP = {
-    (3, 101): "57041a3e2829253008bb1681e9e6129dbc8d36913a3663eefe3ee499a61b5a97",
-    (4, 10007): "8fedabfc365d7c0ea96f1d925652d1c6918407df4aece2f35110a7be108d0273",
-    (5, 2**31 - 1): "654546467fb2dbdb0782f2920898f07762caefff287044105831eaac99cf874f",
-    (6, 2**61 - 1): "b5eb8435b7a29d67c4113b64c88b88751d63c981c5de85ffb1adce79b6d2bbcd",
+    (3, 101): "e4961129f3139e38cbbac6c0246080a388808261618270e5a15b491e2077cb6b",
+    (4, 10007): "0b5aa539604592f06bdef0bbe86e87fc073ca681835214f5b979de731f600678",
+    (5, 2**31 - 1): "eb5b487f138db2ac00588db097be64655efe6e640912954bf87930ef4894fc27",
+    (6, 2**61 - 1): "d73d33499b3d77a230d442b1529004f7dfbdc181f26c45ea0b2d9bfbf5a1b40e",
 }
 
 

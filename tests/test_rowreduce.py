@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from cayleynav.core import Word, eletter, eval_word_fp, eval_word_z
+from cayleynav.compression import _batch_letters
+from cayleynav.core import Word, eletter, eval_word_fp, eval_word_z, least_abs_residue
 from cayleynav.modp import random_sl_fp
 from cayleynav.normalform import _lll_reduce
 from cayleynav.rowreduce import RowReducer
@@ -54,3 +55,56 @@ def test_reduce_runs_the_phase_sequence(p):
             else:
                 assert red.norms == [red.peak]
                 assert eval_word_fp(word, p) == m
+
+
+def upper_triangular(n, p, rng, cols):
+    """Unit upper triangular rows, random above the diagonal in the given columns only.
+
+    Over Z the pivots are +-1 and the entries reach 10^12; over Z/p the
+    pivots are nonzero residues and the entries arbitrary residues.
+    """
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        rows[r][r] = rng.choice((1, -1)) if p is None else rng.randrange(1, p)
+        for c in cols:
+            if c > r + 1:
+                rows[r][c - 1] = rng.randint(-10**12, 10**12) if p is None else rng.randrange(p)
+    return rows
+
+
+def upper_powers(rows, col, p):
+    """The batch (i, m) that clears column col of unit upper triangular rows."""
+    pivot = rows[col - 1][col - 1]
+    inv = pivot if p is None else pow(pivot, -1, p)
+    powers = []
+    for i in range(1, col):
+        q = -rows[i - 1][col - 1] * inv
+        q = q if p is None else least_abs_residue(q, p)
+        if q:
+            powers.append((i, -q))
+    return powers
+
+
+@pytest.mark.parametrize("p", [None, 10007, 2**61 - 1])
+def test_clear_upper_takes_the_half_walk_only_over_fp_before_column_n(p):
+    rng = random.Random(f"upper:{p}")
+    for n in (3, 4, 5, 6):
+        for col in range(2, n + 1):
+            rows = upper_triangular(n, p, rng, [col])
+            red = RowReducer(copy.deepcopy(rows), p)
+            red.clear_upper()
+            assert all(red.rows[r][c] == 0 for r in range(n) for c in range(r + 1, n))
+            powers = upper_powers(rows, col, p)
+            full = _batch_letters([], col, powers, range(1, n + 1))
+            if p is None or col == n:
+                assert red.out == full
+                continue
+            moved = []
+            half = _batch_letters([], col, powers, range(1, n + 1), (n, moved))
+            assert len(half) <= len(full) and red.out[: len(half)] == half
+            # the junk lands on column n, times its pivot, which column n then
+            # clears with the full template
+            for i, x in moved:
+                rows[i - 1][n - 1] = (rows[i - 1][n - 1] - x * rows[n - 1][n - 1]) % p
+            assert red.out[len(half) :] == _batch_letters([], n, upper_powers(rows, n, p), range(1, n + 1))
+
