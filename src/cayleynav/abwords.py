@@ -13,6 +13,7 @@ _spliced, as the four shared letter objects and splices those into the
 output, so no output letter is ever converted from a code.
 """
 
+import operator
 from functools import lru_cache
 
 from .core import ELEMENTARY, Word, _word, abletter
@@ -51,6 +52,7 @@ def _corner(k: int) -> tuple[int, ...]:
 
 def eij_ab_word(i: int, j: int, n: int) -> Word:
     """Word over A, B equal to e(i, j), at most 10n letters."""
+    n = operator.index(n)
     if n < 2:
         raise DomainError(f"dimension must be at least 2, got {n}")
     if i == j or not (1 <= i <= n and 1 <= j <= n):

@@ -173,6 +173,7 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
     template length the plain spelling e(i, j)^(+-1) repeated |m| times is
     shorter and is returned instead.
     """
+    n, i, j, m = map(operator.index, (n, i, j, m))
     if n < 3:
         raise UnsupportedDimensionError(
             f"power compression needs dimension >= 3, got {n}"
@@ -183,6 +184,6 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
         raise InvalidGeneratorError(
             f"auxiliary index {aux} must lie in 1..{n} outside {{{i},{j}}}"
         )
-    pool = range(1, n + 1) if aux is None else (aux,)
-    return _word(n, tuple(_batch_letters([], j, ((i, operator.index(m)),), pool)))
+    pool = range(1, n + 1) if aux is None else (operator.index(aux),)
+    return _word(n, tuple(_batch_letters([], j, ((i, m),), pool)))
 

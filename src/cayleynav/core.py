@@ -22,7 +22,9 @@ constructors check their fields; the one base _Frozen derives equality
 (same class only), hashing, repr and pickling from each __slots__.  They
 are deliberately not tuples, so Word + Word and len(MatZ) stay errors
 rather than a concatenation and a 2.  Letters are interned by the one
-cache _letter, which eletter, abletter and GenLetter.inverse go through.
+cache _letter, which eletter, abletter and GenLetter.inverse go through;
+eletter and abletter put the exponent and indices through operator.index
+before the lookup, so a 1.0 never keys a letter that a later 1 would find.
 
 A Word is validated once, where its letters come from outside: the Word
 constructor checks that every letter fits the dimension and that one
@@ -90,6 +92,7 @@ class GenLetter(_Frozen):
     __slots__ = ("alphabet", "e", "i", "j", "sym")
 
     def __init__(self, alphabet: str, e: int, i: int = 0, j: int = 0, sym: str = ""):
+        e, i, j = operator.index(e), operator.index(i), operator.index(j)
         if e not in (1, -1):
             raise InvalidGeneratorError(f"letter exponent must be +1 or -1, got {e}")
         if alphabet == ELEMENTARY:
@@ -120,12 +123,12 @@ def _letter(alphabet: str, e: int, i: int, j: int, sym: str) -> GenLetter:
 
 def eletter(i: int, j: int, e: int = 1) -> GenLetter:
     """Interned elementary letter e(i, j)^e."""
-    return _letter(ELEMENTARY, e, i, j, "")
+    return _letter(ELEMENTARY, operator.index(e), operator.index(i), operator.index(j), "")
 
 
 def abletter(sym: str, e: int = 1) -> GenLetter:
     """Interned AB letter A^e or B^e."""
-    return _letter(AB, e, 0, 0, sym)
+    return _letter(AB, operator.index(e), 0, 0, sym)
 
 
 class Word(_Frozen):
@@ -134,6 +137,7 @@ class Word(_Frozen):
     __slots__ = ("n", "letters")
 
     def __init__(self, n: int, letters: tuple[GenLetter, ...] = ()):
+        n = operator.index(n)
         if n < 2:
             raise DomainError(f"word dimension must be at least 2, got {n}")
         if letters:

@@ -63,16 +63,20 @@ def zeckendorf(m: int) -> ZeckendorfDecomposition:
     if m < 1:
         raise DomainError(f"Zeckendorf decomposition needs m >= 1, got {m}")
     fibs = _fib_table(m)
+    # one search for the top index, then a walk down the table; k >= 2
+    # throughout because F_2 = 1 <= rest
+    k = bisect_right(fibs, m) - 1
     indices = []
-    rest, hi = m, len(fibs)
+    rest = m
     while rest:
-        # the largest F_k <= rest; k >= 2 because F_1 = F_2 = 1
-        k = bisect_right(fibs, rest, 0, hi) - 1
+        while fibs[k] > rest:
+            k -= 1
         indices.append(k)
         rest -= fibs[k]
         # rest < F_{k-1} now, so the next index is at most k - 2
-        hi = k - 1
-    return ZeckendorfDecomposition(m, tuple(reversed(indices)))
+        k -= 2
+    indices.reverse()
+    return ZeckendorfDecomposition(m, tuple(indices))
 
 
 def zeckendorf_length_bound(m: int) -> float:

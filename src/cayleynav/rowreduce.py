@@ -37,6 +37,19 @@ for each column, clear_upper, clear_diagonal, check_identity.  Over Z/p
 the column entries are residues in [0, p), so the division runs on
 integers and the exponents stay below p, and upper clearing and the
 endgame take their exponents in the least-absolute window (-p/2, p/2].
+
+Over Z, reduce first runs lll, an integral LLL reduction of the rows
+(Lenstra, Lenstra and Lovasz, Math. Ann. 261 (1982); Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.6.7, delta = 3/4), whenever
+some entry below the diagonal is nonzero.  The rows span Z^N, so the
+reduced rows are short (in practice a signed permutation): the phases that
+follow see small entries, and the entries met stay near the input norm.
+Without it, clearing column c can square the magnitudes so far.  lll runs
+on a virtual order of the rows: a swap exchanges two positions of a
+permutation (Cohen's unsigned SWAPI), moves no row and emits no letter,
+and each size reduction is one add.  The reduced rows stay where they
+are, and column clearing moves each carrier onto the diagonal with at
+most N - 1 signed swaps.
 """
 
 from .compression import _PLAIN_MAX, _batch_letters, _plain_letters
@@ -64,12 +77,15 @@ class RowReducer:
         self.all_rows = range(1, self.n + 1)
 
     def reduce(self) -> tuple[Word, tuple[int, int, int]]:
-        """clear_column for columns 1..N-1, clear_upper, clear_diagonal, check_identity.
+        """lll, clear_column for columns 1..N-1, clear_upper, clear_diagonal, check_identity.
 
-        Returns the output word and its letters per phase as (column, sign,
-        upper), column counting letters already output (LLL over Z): the
+        lll runs over Z when some entry below the diagonal is nonzero.
+        Returns the word and its letters per phase as (column, sign, upper):
+        column counts the lll letters too, since lll runs first, and the
         endgame runs last, after upper clearing, but is counted second.
         """
+        if self.p is None and any(self.rows[r][c] for r in range(1, self.n) for c in range(r)):
+            self.lll()
         for col in range(1, self.n):
             self.clear_column(col)
         n1 = len(self.out)
@@ -126,6 +142,63 @@ class RowReducer:
         self.add(i, j, 1)
         self.add(j, i, -1)
         self.add(i, j, 1)
+
+    def lll(self) -> list[int]:
+        """Integral LLL reduction of the rows over Z, delta = 3/4 (Cohen, Alg. 2.6.7).
+
+        Position k of the virtual order perm holds row perm[k], and a swap
+        exchanges two entries of perm (Cohen's unsigned SWAPI).  d[i] is the
+        Gram determinant of the first i positions and lam[k][j] is d[j + 1]
+        times the Gram-Schmidt coefficient mu[k][j], all exact integers.
+        Returns perm: rows perm[0], ..., perm[n - 1] (0-based) are the
+        reduced basis in order.
+        """
+        n, rows = self.n, self.rows
+        perm = list(range(n))
+        d = [1, sum(x * x for x in rows[0])] + [0] * (n - 1)
+        lam = [[0] * n for _ in range(n)]
+
+        def size_reduce(k: int, l: int) -> None:
+            u, dl = lam[k][l], d[l + 1]
+            if 2 * abs(u) <= dl:
+                return
+            q = (2 * u + dl) // (2 * dl)
+            self.add(perm[k] + 1, perm[l] + 1, -q)
+            lam[k][l] = u - q * dl
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+        k, kmax = 1, 0
+        while k < n:
+            if k > kmax:
+                kmax = k
+                bk = rows[perm[k]]
+                for j in range(k + 1):
+                    u = sum(x * y for x, y in zip(bk, rows[perm[j]]))
+                    for i in range(j):
+                        u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    if j < k:
+                        lam[k][j] = u
+                    else:
+                        d[k + 1] = u
+            size_reduce(k, k - 1)
+            lk = lam[k][k - 1]
+            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
+                perm[k - 1], perm[k] = perm[k], perm[k - 1]
+                for j in range(k - 1):
+                    lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+                b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+                for i in range(k + 1, kmax + 1):
+                    t = lam[i][k]
+                    lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                    lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+                d[k] = b
+                k = max(1, k - 1)
+            else:
+                for l in range(k - 2, -1, -1):
+                    size_reduce(k, l)
+                k += 1
+        return perm
 
     def fold(
         self, col: int, active: range, finished: range = range(0)

@@ -22,7 +22,6 @@ from cayleynav.errors import (
 )
 from cayleynav.normalform import (
     NormalFormResult,
-    _lll_reduce,
     normal_form,
     normal_form_result,
 )
@@ -254,7 +253,7 @@ def test_lll_reduces_in_its_virtual_order():
                 if determinant(m) == 0:
                     continue
             red = NoSwapReducer([list(r) for r in m.rows])
-            perm = _lll_reduce(red)
+            perm = red.lll()
             assert sorted(perm) == list(range(n))
             basis = [red.rows[i] for i in perm]
             star, norms, mu = [], [], [[Fraction(0)] * n for _ in range(n)]
@@ -275,6 +274,6 @@ def test_lll_reduces_in_its_virtual_order():
 def test_lll_swaps_emit_no_letters():
     # two swaps reorder the rows for free; the one size reduction is one letter
     red = NoSwapReducer([[1, 1, 0], [0, 0, 1], [0, -1, 0]])
-    assert _lll_reduce(red) == [1, 2, 0]
+    assert red.lll() == [1, 2, 0]
     assert red.rows == [[1, 0, 0], [0, 0, 1], [0, -1, 0]]
     assert Word(3, tuple(red.out)).tokens() == "e(1,3)^-1"

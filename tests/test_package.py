@@ -213,3 +213,53 @@ def test_entry_points_take_exact_integers_only(call):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True, timeout=20,
     ).stdout
     assert out.strip().endswith("object cannot be interpreted as an integer"), out
+
+
+NON_INTEGER_CALLS = (
+    "compress_power(3, 1.0, 2, 5)",
+    "compress_power(3, 1, 2, 20, aux=3.0)",
+    "eletter(1, 2, 1.0)",
+    "eletter(Fraction(1), 2)",
+    "eletter('1', 2)",
+    "abletter('A', 1.0)",
+    "GenLetter(ELEMENTARY, 1, 1.0, 2)",
+    "Word(3.0, ())",
+    "eij_ab_word(1, 2, 3.0)",
+)
+
+
+@pytest.mark.parametrize("integers_first", [False, True])
+def test_a_non_integer_index_or_exponent_never_reaches_the_letter_cache(integers_first):
+    # the letter cache keys on its fields, and 1.0 == 1 hashes alike: a float
+    # cached first made every later e(1,2) carry i = 1.0, and an int cached
+    # first let the float through; either order must raise TypeError
+    code = (
+        "from fractions import Fraction\n"
+        "from cayleynav.abwords import eij_ab_word\n"
+        "from cayleynav.compression import compress_power\n"
+        "from cayleynav.core import ELEMENTARY, GenLetter, MatFp, MatZ, Word, abletter, eletter, eval_word_z\n"
+        "from cayleynav.formats import word_to_json\n"
+        "from cayleynav.modp import word_for_modp\n"
+        "from cayleynav.normalform import normal_form\n"
+        "def words():\n"
+        "    m = MatZ.from_rows([[1, 7, 0], [0, 1, 0], [0, 0, 1]])\n"
+        "    w = normal_form(m)\n"
+        "    print(w.tokens(), eval_word_z(w) == m)\n"
+        "    print(word_to_json(word_for_modp(MatFp.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 7))))\n"
+        "    compress_power(3, 1, 2, 5), compress_power(3, 1, 2, 20, aux=3), eletter(1, 2, 1)\n"
+        "    abletter('A', 1), Word(3, ()), eij_ab_word(1, 2, 3)\n"
+        f"if {integers_first}:\n"
+        "    words()\n"
+        f"for call in {NON_INTEGER_CALLS!r}:\n"
+        "    try:\n"
+        "        print('accepted', call, repr(eval(call)))\n"
+        "    except TypeError as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "words()\n"
+    )
+    lines = fresh(code).splitlines()
+    assert lines[-len(NON_INTEGER_CALLS) - 2 : -2] == ["TypeError"] * len(NON_INTEGER_CALLS)
+    assert lines[-2:] == [
+        " ".join(["e(1,2)"] * 7) + " True",
+        "{'n': 3, 'alphabet': 'elementary', 'letters': [{'i': 1, 'j': 2, 'e': 1}]}",
+    ]

@@ -1,21 +1,24 @@
 import copy
+import math
 import random
 
 import pytest
 
 from cayleynav.compression import _batch_letters
-from cayleynav.core import Word, eletter, eval_word_fp, eval_word_z, least_abs_residue
+from cayleynav.core import MatZ, Word, eletter, eval_word_fp, eval_word_z, least_abs_residue
 from cayleynav.modp import random_sl_fp
-from cayleynav.normalform import _lll_reduce
 from cayleynav.rowreduce import RowReducer
 
 
 def by_hand(red, sup):
     """The phase sequence spelled out step by step, with the sup norms kept aside.
 
-    sup is the sup norm of the input, before any pre-reduction.
+    sup is the sup norm of the input, before any pre-reduction.  LLL runs
+    over Z when some entry below the diagonal is nonzero.
     """
     norms = [sup]
+    if red.p is None and any(red.rows[r][c] for r in range(red.n) for c in range(r)):
+        red.lll()
     for col in range(1, red.n):
         red.clear_column(col)
         if red.p is None:
@@ -28,19 +31,24 @@ def by_hand(red, sup):
     return (n1, len(red.out) - n2, n2 - n1), norms
 
 
-@pytest.mark.parametrize("p", [None, 2, 7, 2**31 - 1])
+@pytest.mark.parametrize("p", [None, "upper", 2, 7, 2**31 - 1])
 def test_reduce_runs_the_phase_sequence(p):
+    # "upper" is over Z too, on upper triangular inputs of determinant 1,
+    # which skip LLL: nothing below the diagonal is nonzero
     rng = random.Random(23 if p is None else p)
+    ring = None if p == "upper" else p
     for n in (3, 4, 5, 6):
         for _ in range(4):
             if p is None:
                 pairs = (rng.sample(range(1, n + 1), 2) for _ in range(20 * n))
                 m = eval_word_z(Word(n, tuple(eletter(i, j, rng.choice((1, -1))) for i, j in pairs)))
-                red = RowReducer([list(r) for r in m.rows])
-                _lll_reduce(red)
+            elif p == "upper":
+                rows = upper_triangular(n, None, rng, range(2, n + 1))
+                rows[-1][-1] *= math.prod(rows[r][r] for r in range(n))
+                m = MatZ.from_rows(rows)
             else:
                 m = random_sl_fp(n, p, rng)
-                red = RowReducer([list(r) for r in m.rows], p)
+            red = RowReducer([list(r) for r in m.rows], ring)
             hand = copy.deepcopy(red)
             phases, norms = by_hand(hand, max(abs(x) for row in m.rows for x in row))
             word, got = red.reduce()
@@ -50,7 +58,10 @@ def test_reduce_runs_the_phase_sequence(p):
             assert sum(got) == len(word)
             assert red.norms == norms == hand.norms
             assert red.peak == hand.peak
-            if p is None:
+            if p == "upper":
+                # no LLL, and every column is cleared already: no column letter
+                assert got[0] == 0
+            if ring is None:
                 assert len(norms) == n and eval_word_z(word) == m
             else:
                 assert red.norms == [red.peak]
