@@ -21,7 +21,9 @@ GenLetter, Word, MatZ and MatFp are immutable slotted classes whose
 constructors check their fields; the one base _Frozen derives equality
 (same class only), hashing, repr and pickling from each __slots__.  They
 are deliberately not tuples, so Word + Word and len(MatZ) stay errors
-rather than a concatenation and a 2.  Letters are interned by the one
+rather than a concatenation and a 2.  MatZ and MatFp share the base _Mat,
+which writes identity, the product and key once; a product across the
+two classes raises TypeError.  Letters are interned by the one
 cache _letter, which eletter, abletter and GenLetter.inverse go through;
 eletter and abletter put the exponent and indices through operator.index
 before the lookup, so a 1.0 never keys a letter that a later 1 would find.
@@ -203,7 +205,38 @@ def _word(n: int, letters: tuple[GenLetter, ...]) -> Word:
     return w
 
 
-class MatZ(_Frozen):
+class _Mat(_Frozen):
+    """Base of MatZ and MatFp: identity, product and key, written once.
+
+    The fields between n and rows name the ring, none over Z and p over
+    F_p.  A product across the two classes is NotImplemented, so Python
+    raises TypeError; different dimensions or moduli raise DomainError.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, n: int, *ring):
+        return cls(n, *ring, tuple(tuple(int(r == c) for c in range(n)) for r in range(n)))
+
+    def __mul__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        ring = self._fields()[1:-1]
+        if self.n != other.n or ring != other._fields()[1:-1]:
+            raise DomainError("dimension or modulus mismatch in matrix product")
+        cols = list(zip(*other.rows))
+        rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
+        if ring:  # over F_p, back to residues
+            rows = tuple(tuple(x % ring[0] for x in row) for row in rows)
+        return self.__class__(self.n, *ring, rows)
+
+    def key(self) -> tuple[int, ...]:
+        """Flat row-major entry tuple, usable as a dict key."""
+        return tuple(x for row in self.rows for x in row)
+
+
+class MatZ(_Mat):
     """Immutable integer matrix, stored as a tuple of row tuples."""
 
     __slots__ = ("n", "rows")
@@ -217,32 +250,12 @@ class MatZ(_Frozen):
         self._init(n, rows)
 
     @classmethod
-    def identity(cls, n: int) -> "MatZ":
-        return cls(n, tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n)))
-
-    @classmethod
     def from_rows(cls, rows) -> "MatZ":
         rows = tuple(tuple(map(operator.index, r)) for r in rows)
         return cls(len(rows), rows)
 
-    def __mul__(self, other: "MatZ") -> "MatZ":
-        if self.n != other.n:
-            raise DomainError("dimension mismatch in matrix product")
-        cols = list(zip(*other.rows))
-        return MatZ(
-            self.n,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            ),
-        )
 
-    def key(self) -> tuple[int, ...]:
-        """Flat row-major entry tuple, usable as a dict key."""
-        return tuple(x for row in self.rows for x in row)
-
-
-class MatFp(_Frozen):
+class MatFp(_Mat):
     """Immutable matrix over the prime field F_p, entries stored in [0, p)."""
 
     __slots__ = ("n", "p", "rows")
@@ -259,33 +272,12 @@ class MatFp(_Frozen):
         self._init(n, p, rows)
 
     @classmethod
-    def identity(cls, n: int, p: int) -> "MatFp":
-        return cls(n, p, tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n)))
-
-    @classmethod
     def from_rows(cls, rows, p: int) -> "MatFp":
         p = operator.index(p)
         if p < 2:
             raise DomainError(f"modulus {p} is not prime")
         rows = tuple(tuple(operator.index(x) % p for x in r) for r in rows)
         return cls(len(rows), p, rows)
-
-    def __mul__(self, other: "MatFp") -> "MatFp":
-        if self.n != other.n or self.p != other.p:
-            raise DomainError("dimension or modulus mismatch in matrix product")
-        p = self.p
-        cols = list(zip(*other.rows))
-        return MatFp(
-            self.n,
-            p,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-                for row in self.rows
-            ),
-        )
-
-    def key(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
 
 
 def elementary_matrix(n: int, i: int, j: int, e: int = 1) -> MatZ:

@@ -20,23 +20,21 @@ Column clearing folds the column into a carrier row by N-ary Euclidean
 rounds (fold, which euclid.accelerated_reduce also runs, on a one-column
 matrix): the smallest nonzero entry divides every other one, all in one
 batch, until a single nonzero entry is left, and a signed swap moves the
-carrier onto the diagonal.  Upper clearing zeroes the strict upper
-triangle one column per batch, dividing out each unit pivot.  Over Z/p a
-column c < N takes the half walk of each template, which leaves junk
-multiples of row N on the targets, on column N only; column N, which
-takes the full template, clears them with the rest.  Over Z the junk
-would grow the entries, so every column takes the full template.  The
-diagonal endgame sweeps the remaining diagonal of units to the identity
-with the gadget diag(a^-1, a), which over Z has a = -1.  A batch takes its aux
-index from a pool: while folding three or more active rows, the active
-rows and then the finished ones (rows 1..col-1 when clear_column folds
-column col; euclid.accelerated_reduce has none, so its letters stay on
-the active rows), and every row otherwise, so with two active rows aux is
-row 1.  Both rings run the same sequence, RowReducer.reduce: clear_column
-for each column, clear_upper, clear_diagonal, check_identity.  Over Z/p
-the column entries are residues in [0, p), so the division runs on
-integers and the exponents stay below p, and upper clearing and the
-endgame take their exponents in the least-absolute window (-p/2, p/2].
+carrier onto the diagonal.  A fold's batches take their aux index from
+the active rows first, then from every other row.  Upper clearing zeroes
+the strict upper triangle one column per batch, dividing out each unit
+pivot.  Over Z it goes right to left, so each source row is already a
+unit row and no entry grows.  Over Z/p it goes left to right: a column
+c < N takes the half walk of each template, which leaves junk multiples
+of row N on the targets, on column N only; column N, cleared last with
+the full template, clears them with the rest.  The diagonal endgame
+sweeps the remaining diagonal of units to the identity with the gadget
+diag(a^-1, a), which over Z has a = -1.  Both rings run the same
+sequence, RowReducer.reduce: clear_column for each column, clear_upper,
+clear_diagonal, check_identity.  Over Z/p the column entries are residues
+in [0, p), so the division runs on integers and the exponents stay below
+p, and upper clearing and the endgame take their exponents in the
+least-absolute window (-p/2, p/2].
 
 Over Z, reduce first runs lll, an integral LLL reduction of the rows
 (Lenstra, Lenstra and Lovasz, Math. Ann. 261 (1982); Cohen, A Course in
@@ -200,9 +198,7 @@ class RowReducer:
                 k += 1
         return perm
 
-    def fold(
-        self, col: int, active: range, finished: range = range(0)
-    ) -> tuple[int, list[tuple[int, int, int]]]:
+    def fold(self, col: int, active: range) -> tuple[int, list[tuple[int, int, int]]]:
         """Fold column col of the active rows into one carrier row by N-ary Euclid rounds.
 
         Each round takes as source the active row with the smallest nonzero
@@ -211,13 +207,12 @@ class RowReducer:
         every remainder is smaller than the source.  The rounds stop when a
         single nonzero entry, the gcd up to sign, is left in the carrier.
         Over Z/p the entries are residues in [0, p), so the remainders are
-        the reduced entries.  With three or more active rows the batches
-        draw aux from the active rows, then from the finished rows, which
-        no round touches; with two, from every row.  Returns the carrier
-        and the moves (target, source, multiple), 1-based, in temporal order.
+        the reduced entries.  The batches draw aux from the active rows,
+        then from every other row.  Returns the carrier and the moves
+        (target, source, multiple), 1-based, in temporal order.
         """
         rows, c = self.rows, col - 1
-        pool = (*active, *finished) if len(active) >= 3 else self.all_rows
+        pool = (*active, *(r for r in self.all_rows if r not in active))
         moves = []
         while True:
             live = [a for a in active if rows[a - 1][c] != 0]
@@ -241,7 +236,7 @@ class RowReducer:
                 raise InternalStateError(f"column {d + 1} is not cleared below the diagonal")
         if all(rows[r][col - 1] == 0 for r in range(col - 1, n)):
             raise InternalStateError(f"column {col} is zero at and below the diagonal")
-        carrier, _ = self.fold(col, range(col, n + 1), range(1, col))
+        carrier, _ = self.fold(col, range(col, n + 1))
         if carrier != col:
             self.swap(col, carrier)
         pivot = rows[col - 1][col - 1]
@@ -257,21 +252,23 @@ class RowReducer:
         return u if self.p is None else inverse_mod(u, self.p)
 
     def clear_upper(self) -> None:
-        """Zero the strict upper triangle, one batch per column from the left.
+        """Zero the strict upper triangle, one batch per column.
 
         Column j is one batch with source j, its aux drawn from all rows.
         Every pivot must be a unit; it is divided out of the exponent and
-        stays on the diagonal for clear_diagonal.  Over Z/p every column
-        j < N takes the half walks with junk column N: row N is zero left
-        of column N, so the junk moves no cleared entry, and column N is
-        cleared last, whatever its entries.  Column N, and every column
-        over Z, where junk would grow the entries, take the full template.
+        stays on the diagonal for clear_diagonal.  Over Z the columns go
+        right to left: row j is then zero right of its pivot, so every
+        quotient is an entry and no entry grows.  Over Z/p they go left to
+        right, and every column j < N takes the half walks with junk
+        column N: row N is zero left of column N, so the junk moves no
+        cleared entry, and column N, cleared last with the full template,
+        clears the junk with the rest.
         """
         n, rows = self.n, self.rows
         for r in range(n):
             if any(rows[r][:r]) or not self._is_unit(rows[r][r]):
                 raise InternalStateError("matrix is not upper triangular with unit pivots")
-        for j in range(2, n + 1):
+        for j in range(n, 1, -1) if self.p is None else range(2, n + 1):
             inv = self._inverse(rows[j - 1][j - 1])
             column = [(i, rows[i - 1][j - 1]) for i in range(1, j)]
             mults = [(i, self._lift(-v * inv)) for i, v in column if v]

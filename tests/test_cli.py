@@ -201,6 +201,10 @@ def test_cli_compress(capsys):
     assert len(w) == 50
     m = eval_word_z(w)
     assert m.rows == ((1, 0, 100), (0, 1, 0), (0, 0, 1))
+    # a negative exponent spells the inverse word
+    rc, neg, _ = run(capsys, "compress", "3", "1", "3", "-100")
+    assert rc == 0
+    assert parse_word_text(neg, 3) == w.inverse()
 
 
 def test_cli_compress_json(capsys):
@@ -278,6 +282,20 @@ def test_cli_normal_form_json(tmp_path, capsys):
     assert eval_word_z(word_of(payload["word"])) == PERM
 
 
+def test_cli_normal_form_json_reports_the_phases(tmp_path, capsys):
+    # LLL reorders these rows for free: one size reduction, then a carrier
+    # swap and the endgame, and no entry ever exceeds 1
+    m = MatZ.from_rows([[1, 1, 0], [0, 0, 1], [0, -1, 0]])
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_text(m))
+    rc, out, _ = run(capsys, "normal-form", "--json", str(path))
+    payload = json.loads(out)
+    assert rc == 0
+    assert (payload["phase_lengths"], payload["column_norms"]) == ([4, 6, 0], [1, 1, 1])
+    assert payload["length"] == len(payload["word"]["letters"]) == 10
+    assert eval_word_z(word_of(payload["word"])) == m
+
+
 def test_cli_normal_form_reports_true_peak(tmp_path, capsys):
     m = MatZ.from_rows([[1, 9, 0], [0, 1, 0], [0, 0, 1]])
     path = tmp_path / "m.txt"
@@ -337,6 +355,20 @@ def test_cli_reduce_modp_needs_modp_header(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_reduce_modp_clears_the_upper_triangle_with_half_walks(tmp_path, capsys):
+    # over F_p the upper triangle takes half walks: 278 letters, not the 374 of full templates
+    m = MatFp.from_rows(
+        [[1, 5000, 3000, 7000], [0, 1, 4000, 2000], [0, 0, 1, 6000], [0, 0, 0, 1]], 10007
+    )
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_text(m))
+    rc, out, _ = run(capsys, "reduce-modp", str(path))
+    assert rc == 0
+    w = parse_word_text(out, 4)
+    assert len(w) == 278
+    assert eval_word_fp(w, 10007) == m
+
+
 def test_cli_reduce_modp_random(tmp_path, capsys):
     m = MatFp.from_rows([[1, 5, 4], [1, 1, 6], [4, 0, 3]], 7)
     from cayleynav.core import determinant_fp
@@ -357,6 +389,13 @@ def test_cli_fp_report_csv(capsys):
     assert lines[1].startswith("3,101,")
     assert ",sampled,20," in lines[1]
     assert lines[1].endswith(",0")
+
+
+def test_cli_fp_report_refuses_dimension_two_before_the_search(capsys):
+    # SL_2(F_251) is over the state budget, but mod-p reports need N >= 3,
+    # so the refusal is the domain error's 3, not the budget's 4
+    rc, out, err = run(capsys, "fp-report", "2", "251", "--exhaustive")
+    assert (rc, out, err) == (3, "", "error: mod-p reduction needs dimension >= 3, got 2\n")
 
 
 def test_cli_fp_report_json(capsys):
@@ -383,6 +422,7 @@ def test_cli_rewrite_ab(capsys):
     assert rc == 0
     w = parse_word_text(out, 3)
     assert eval_word_z(w).rows == ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+    assert run(capsys, "rewrite-ab", "3", "e(1,2)") == (0, "A\n", "")
 
 
 def test_cli_rewrite_ab_stdin(monkeypatch, capsys):
@@ -416,6 +456,22 @@ def test_cli_bfs_diameter(capsys):
     assert "histogram: 0:1 1:6 2:24 3:51 4:60 5:24 6:2" in out
 
 
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["3", "5", "--alphabet", "ab"], "SL_3(F_5) over ab: order=372000 diameter=20"),
+        (["4", "2"], "SL_4(F_2) over elementary: order=20160 diameter=9"),
+        # the A/B kernel on the entrywise N = 2 row moves
+        (["2", "5", "--alphabet", "ab"], "SL_2(F_5) over ab: order=120 diameter=9"),
+    ],
+    ids=["sl3-f5-ab", "sl4-f2", "sl2-f5-ab"],
+)
+def test_cli_bfs_diameter_first_line(capsys, argv, first):
+    rc, out, _ = run(capsys, "bfs-diameter", *argv)
+    assert rc == 0
+    assert out.splitlines()[0] == first
+
+
 def test_cli_bfs_diameter_json(capsys):
     rc, out, _ = run(capsys, "bfs-diameter", "2", "2", "--json")
     # JSON object keys are strings, so the histogram's distances print as "0", "1", ...
@@ -436,6 +492,12 @@ def test_cli_sl2_lowerbound(capsys):
     assert "d(e(2,1)^3) = 3" in out
     assert "d(e(2,1)^4) = 4" in out
     assert out.splitlines()[-1].startswith("distance grows linearly")
+    # the SL_2(Z) ball from the row-move search, and d(e(2,1)^k) = k up to the radius
+    rc, out, _ = run(capsys, "sl2-lowerbound", "6")
+    lines = out.splitlines()
+    assert rc == 0
+    assert lines[0] == "ball size at radius 6: 556"
+    assert "d(e(2,1)^6) = 6" in lines
 
 
 # every subcommand that takes --json, with a small valid input

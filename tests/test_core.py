@@ -109,6 +109,17 @@ def test_matz_shape_validation():
         MatFp.identity(3, 5) * MatFp.identity(3, 7)
 
 
+def test_product_needs_one_matrix_type():
+    # a product of a MatZ and a MatFp, in either order, is a TypeError
+    z = MatZ.from_rows([[1, 4], [0, 1]])
+    f = MatFp.from_rows([[1, 4], [0, 1]], 5)
+    for a, b in ((z, f), (f, z)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a * b
+    assert f * f == MatFp.from_rows([[1, 3], [0, 1]], 5)
+    assert z * z == MatZ.from_rows([[1, 8], [0, 1]])
+
+
 ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 HALF3 = ((1, 2.5, 0), (0, 1, 0), (0, 0, 1))
 

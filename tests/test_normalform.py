@@ -156,6 +156,15 @@ def test_upper_clear_keeps_negative_pivots():
     assert eval_word_z(w) * m == out
 
 
+def test_upper_clear_over_z_goes_right_to_left():
+    # each source row is already a unit row, so every quotient is an entry
+    # and no entry grows past the input's 100
+    m = MatZ.from_rows([[1, 100, 7], [0, 1, -3], [0, 0, 1]])
+    r = normal_form_result(m)
+    assert (len(r.word), r.peak_norm, r.phase_lengths) == (60, 100, (0, 0, 60))
+    assert eval_word_z(r.word) == m
+
+
 def test_upper_clear_requires_unit_diagonal():
     with pytest.raises(InternalStateError):
         run_phase(MatZ.from_rows([[1, 2, 0], [0, 2, 0], [0, 0, -1]]), RowReducer.clear_upper)
