@@ -97,7 +97,7 @@ def cmd_gcd(args) -> int:
         raise DomainError(f"active length must lie in 2..{len(entries)}, got {k}")
     # a pair gets a zero pad in front, which is the aux row of its reduction
     res = accelerated_reduce(entries if len(entries) >= 3 else (0,) + entries, k)
-    bound = step_bound(k, max(abs(x) for x in entries))
+    bound = step_bound(k, max(abs(x) for x in entries[-k:]))
     payload = {
         "entries": list(entries),
         "subtractive": {"steps": trace.step_count, "final": list(trace.final)},
@@ -202,14 +202,10 @@ def cmd_fp_report(args) -> int:
         seed=args.seed,
         budget=args.budget,
     )
-    seed = "" if report.seed is None else report.seed
-    text = (
-        "n,p,order,mode,count,max_length,mean_length,normalized_max,bound,c_const,seed\n"
-        f"{report.n},{report.p},{report.order},{report.mode},{report.count},"
-        f"{report.max_length},{report.mean_length:.3f},{report.normalized_max:.3f},"
-        f"{report.bound:.3f},{report.c_const},{seed}"
-    )
-    _emit(args, report._asdict(), text)
+    fixed = ("mean_length", "normalized_max", "bound")
+    values = report._asdict()
+    cells = ("" if v is None else f"{v:.3f}" if k in fixed else str(v) for k, v in values.items())
+    _emit(args, values, ",".join(report._fields) + "\n" + ",".join(cells))
     return 0
 
 

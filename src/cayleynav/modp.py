@@ -1,20 +1,9 @@
 """Short words for matrices over prime fields.
 
-The integer pipeline carries over through the shared engine: word_for_modp
-calls rowreduce.RowReducer.reduce over Z/p, the same sequence of steps:
-entries are lifted to residues in [0, p), the lifted columns are
-gcd-reduced by N-ary rounds of compressed batches, above-diagonal entries
-are cleared one column per batch with exponents taken mod p, so every
-target costs O(log p) letters, and the diagonal endgame sweeps the
-leftover diagonal to the identity.  Every column but the last is cleared
-with half walks, about half of a template each: the junk they leave lands
-on column N, whose entries are arbitrary residues until it is cleared
-last, so over Z/p it costs nothing.
-The pivots are arbitrary nonzero residues rather than +-1, so each gadget
-diag(a^-1, a) costs O(log p) letters rather than six, and a pivot of 1 is
-skipped.  As in the integer pipeline, the inverse of every premultiplier
-is appended as it is applied, so the letters come out in the order of the
-final word.
+word_for_modp is one call to rowreduce.RowReducer.reduce over Z/p, the
+engine and phase sequence of the integer pipeline; the rowreduce docstring
+describes both.  Entries are residues in [0, p), so every exponent stays
+below p and every target costs O(log p) letters.
 
 Total length is bounded by DEFAULT_C * n^2 * ln p; DEFAULT_C was pinned by
 measuring the exhaustive and sampled reports in the test grid.
@@ -25,7 +14,7 @@ from collections import namedtuple
 
 from . import core
 from .core import MatFp, Word, inverse_mod, sl_group_order
-from .errors import DEFAULT_BUDGET, DomainError, NotInGroupError, UnsupportedDimensionError
+from .errors import DEFAULT_BUDGET, DomainError, UnsupportedDimensionError
 from .rowreduce import RowReducer
 
 DEFAULT_C = 12.0
@@ -33,15 +22,7 @@ DEFAULT_C = 12.0
 
 def word_for_modp(m: MatFp) -> Word:
     """Word over e(i, j) letters whose evaluation mod p equals m."""
-    n, p = m.n, m.p
-    if n < 3:
-        raise UnsupportedDimensionError(f"mod-p reduction needs dimension >= 3, got {n}")
-    # read from core at each call: this module may be loaded after a tool
-    # has wrapped core's functions, and the wrapper should see the call
-    if core.determinant_fp(m) != 1:
-        raise NotInGroupError("determinant is not 1 mod p")
-    red = RowReducer([list(r) for r in m.rows], p)
-    return red.reduce()[0]
+    return RowReducer([list(r) for r in m.rows], m.p).reduce().word
 
 
 def length_bound_modp(n: int, p: int) -> float:

@@ -1,5 +1,12 @@
 """One row-reduction engine for SL_N(Z) and SL_N(F_p).
 
+RowReducer(rows, p).reduce() is the one door into the engine for both
+rings: the constructor refuses N < 3 with UnsupportedDimensionError,
+reduce refuses a determinant other than 1 (over Z/p, other than 1 mod p)
+with NotInGroupError before any phase runs, and it returns the word with
+its record, a NormalFormResult.  normalform.normal_form_result and
+modp.word_for_modp are that one call.
+
 A RowReducer holds a working matrix, over Z when p is None and over Z/p
 otherwise, and premultiplies it by elementary words.  Each operation
 appends the inverse of its premultiplier to the output word at once, so
@@ -50,9 +57,33 @@ are, and column clearing moves each carrier onto the diagonal with at
 most N - 1 signed swaps.
 """
 
+from collections import namedtuple
+
+from . import core
 from .compression import _PLAIN_MAX, _batch_letters, _plain_letters
 from .core import Word, _word, inverse_mod, least_abs_residue
-from .errors import InternalStateError, UnsupportedDimensionError
+from .errors import InternalStateError, NotInGroupError, UnsupportedDimensionError
+
+
+class NormalFormResult(namedtuple("NormalFormResult", "word phase_lengths column_norms peak_norm")):
+    """The word RowReducer.reduce emits, with its record.
+
+    phase_lengths counts letters as (column, sign, upper): column clearing,
+    which counts the LLL letters too because reduce runs LLL first, the
+    diagonal endgame, which runs last but is counted second, and upper
+    clearing.  column_norms and peak_norm are RowReducer.norms and
+    RowReducer.peak: the sup norm of the input and after each cleared
+    column, and the largest |entry| met, the input included, after any row
+    operation.  Over Z/p neither is tracked: both hold only the input's
+    largest residue.
+    """
+
+    __slots__ = ()
+
+    word: Word
+    phase_lengths: tuple[int, int, int]
+    column_norms: tuple[int, ...]
+    peak_norm: int
 
 
 class RowReducer:
@@ -60,13 +91,16 @@ class RowReducer:
 
     peak starts at the sup norm of the input and takes the new row of every
     row operation into account; a compressed batch is one operation per
-    target row.  norms lists the sup norm at the start and after each column.
+    target row, and a signed swap is three.  norms lists the sup norm at the
+    start and after each column.
     """
 
     __slots__ = ("n", "p", "rows", "out", "peak", "norms", "all_rows")
 
     def __init__(self, rows: list[list[int]], p: int | None = None):
         self.n = len(rows)
+        if self.n < 3:
+            raise UnsupportedDimensionError(f"row reduction needs dimension >= 3, got {self.n}")
         self.p = p
         self.rows = rows
         self.out: list = []
@@ -74,14 +108,21 @@ class RowReducer:
         self.norms = [self.peak]
         self.all_rows = range(1, self.n + 1)
 
-    def reduce(self) -> tuple[Word, tuple[int, int, int]]:
-        """lll, clear_column for columns 1..N-1, clear_upper, clear_diagonal, check_identity.
+    def reduce(self) -> NormalFormResult:
+        """Check det 1, then lll, clear_column for columns 1..N-1, clear_upper, clear_diagonal.
 
-        lll runs over Z when some entry below the diagonal is nonzero.
-        Returns the word and its letters per phase as (column, sign, upper):
-        column counts the lll letters too, since lll runs first, and the
-        endgame runs last, after upper clearing, but is counted second.
+        The rows must have determinant 1, over Z/p 1 mod p, or NotInGroupError
+        is raised before any phase; N >= 3 was checked at construction.  lll
+        runs over Z when some entry below the diagonal is nonzero, and
+        check_identity closes the run.  Returns the word with its record.
         """
+        # the reducer holds n, rows and p, which is all the determinants
+        # read; they are looked up in core at each call, so a tool that
+        # has wrapped them there sees the call
+        det = core.determinant(self) if self.p is None else core.determinant_fp(self)
+        if det != 1:
+            ring = "" if self.p is None else f" mod {self.p}"
+            raise NotInGroupError(f"determinant is {det}{ring}, not 1")
         if self.p is None and any(self.rows[r][c] for r in range(1, self.n) for c in range(r)):
             self.lll()
         for col in range(1, self.n):
@@ -91,7 +132,8 @@ class RowReducer:
         n2 = len(self.out)
         self.clear_diagonal()
         self.check_identity()
-        return _word(self.n, tuple(self.out)), (n1, len(self.out) - n2, n2 - n1)
+        phases = (n1, len(self.out) - n2, n2 - n1)
+        return NormalFormResult(_word(self.n, tuple(self.out)), phases, tuple(self.norms), self.peak)
 
     def _is_unit(self, v: int) -> bool:
         return v in (1, -1) if self.p is None else v != 0
@@ -149,11 +191,14 @@ class RowReducer:
         Gram determinant of the first i positions and lam[k][j] is d[j + 1]
         times the Gram-Schmidt coefficient mu[k][j], all exact integers.
         Returns perm: rows perm[0], ..., perm[n - 1] (0-based) are the
-        reduced basis in order.
+        reduced basis in order.  Linearly dependent rows raise
+        NotInGroupError: a new Gram determinant d[k + 1] is then 0.
         """
         n, rows = self.n, self.rows
         perm = list(range(n))
         d = [1, sum(x * x for x in rows[0])] + [0] * (n - 1)
+        if not d[1]:
+            raise NotInGroupError("row 1 is zero, determinant is 0")
         lam = [[0] * n for _ in range(n)]
 
         def size_reduce(k: int, l: int) -> None:
@@ -177,6 +222,8 @@ class RowReducer:
                         u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
                     if j < k:
                         lam[k][j] = u
+                    elif not u:
+                        raise NotInGroupError("rows are linearly dependent, determinant is 0")
                     else:
                         d[k + 1] = u
             size_reduce(k, k - 1)
@@ -227,8 +274,6 @@ class RowReducer:
     def clear_column(self, col: int) -> None:
         """Zero column col below the diagonal, leaving a unit pivot at (col, col)."""
         n, rows = self.n, self.rows
-        if n < 3:
-            raise UnsupportedDimensionError(f"column clearing needs dimension >= 3, got {n}")
         for d in range(col - 1):
             if not self._is_unit(rows[d][d]):
                 raise InternalStateError(f"pivot at column {d + 1} is {rows[d][d]}, not a unit")

@@ -22,7 +22,7 @@ from cayleynav.core import (
     sup_norm,
     Word,
 )
-from cayleynav.euclid import accelerated_reduce, replay_word_on_tuple, subtractive_gcd
+from cayleynav.euclid import DEFAULT_K, accelerated_reduce, replay_word_on_tuple, subtractive_gcd
 from cayleynav.fibonacci import fib, zeckendorf_length_bound
 from cayleynav.modp import diameter_upper_bound_report, word_for_modp
 from cayleynav.normalform import normal_form
@@ -126,9 +126,9 @@ def test_acceptance_04_accelerated_reduction_letter_budget():
     report(
         4,
         "accelerated reduction budget",
-        worst <= 200.0,
+        worst <= DEFAULT_K,
         f"minimal constant={worst:.2f} (mean {total / 1000:.2f}) "
-        "against default budget constant 40",
+        f"against default budget constant {DEFAULT_K}",
     )
 
 

@@ -25,7 +25,7 @@ from cayleynav.core import (
     least_abs_residue,
 )
 from cayleynav.errors import DomainError, ParseError
-from cayleynav.euclid import subtractive_gcd
+from cayleynav.euclid import step_bound, subtractive_gcd
 from cayleynav.fibonacci import zeckendorf_length_bound
 from cayleynav.formats import parse_matrix_text, parse_word_text, word_to_json
 
@@ -183,6 +183,15 @@ def test_cli_gcd_active_length_counts_the_entries_given(capsys):
         assert err == f"error: active length must lie in 2..2, got {k}\n"
     rc, _, err = run(capsys, "gcd", "--active", "4", "12", "8", "30")
     assert (rc, err) == (3, "error: active length must lie in 2..3, got 4\n")
+
+
+def test_cli_gcd_bound_reads_only_the_active_entries(capsys):
+    # the inactive 1000000 is left alone, so it does not raise the budget
+    rc, out, _ = run(capsys, "gcd", "--active", "2", "--", "1000000", "3", "4")
+    assert rc == 0
+    assert out.splitlines()[1] == "accelerated: length=4 bound=95.5 final=(1000000, 0, 1)"
+    rc, out, _ = run(capsys, "gcd", "--json", "--active", "2", "--", "1000000", "3", "4")
+    assert json.loads(out)["accelerated"]["bound"] == step_bound(2, 4)
 
 
 def test_cli_zeckendorf(capsys):

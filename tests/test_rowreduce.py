@@ -6,6 +6,7 @@ import pytest
 
 from cayleynav.compression import _batch_letters
 from cayleynav.core import MatZ, Word, eletter, eval_word_fp, eval_word_z, least_abs_residue
+from cayleynav.errors import NotInGroupError, UnsupportedDimensionError
 from cayleynav.modp import random_sl_fp
 from cayleynav.rowreduce import RowReducer
 
@@ -51,7 +52,7 @@ def test_reduce_runs_the_phase_sequence(p):
             red = RowReducer([list(r) for r in m.rows], ring)
             hand = copy.deepcopy(red)
             phases, norms = by_hand(hand, max(abs(x) for row in m.rows for x in row))
-            word, got = red.reduce()
+            word, got, _, _ = red.reduce()
             assert word.letters == tuple(red.out)
             assert red.out == hand.out
             assert got == phases
@@ -119,3 +120,37 @@ def test_clear_upper_takes_the_half_walk_only_over_fp_before_column_n(p):
                 rows[i - 1][n - 1] = (rows[i - 1][n - 1] - x * rows[n - 1][n - 1]) % p
             assert red.out[len(half) :] == _batch_letters([], n, upper_powers(rows, n, p), range(1, n + 1))
 
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_reduce_is_the_one_door(p):
+    # N >= 3 at construction, det 1 before any phase, both as typed errors
+    with pytest.raises(UnsupportedDimensionError, match="dimension >= 3, got 2"):
+        RowReducer([[1, 0], [0, 1]], p)
+    cases = [
+        ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 0),
+        ([[1, 1, 1], [2, 2, 2], [3, 3, 3]], 0),
+        ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], 0),
+        ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 2),
+        ([[1, 1, 0], [0, 2, 0], [0, 0, 1]], 2),
+    ]
+    if p is None:
+        cases.append(([[0, 1, 0], [1, 0, 0], [0, 0, 1]], -1))
+    for rows, det in cases:
+        red = RowReducer(copy.deepcopy(rows), p)
+        ring = "" if p is None else f" mod {p}"
+        with pytest.raises(NotInGroupError, match=f"determinant is {det}{ring}, not 1"):
+            red.reduce()
+        assert red.out == [] and red.rows == rows
+
+
+def test_lll_refuses_dependent_rows():
+    # a Gram determinant vanishes: d_2, d_2, d_3 and d_1 in turn
+    cases = [
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+        [[1, 1, 1], [2, 2, 2], [3, 3, 3]],
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+    ]
+    for rows in cases:
+        with pytest.raises(NotInGroupError, match="determinant is 0"):
+            RowReducer(rows).lll()
