@@ -3,8 +3,8 @@
 Exit codes: 0 success (for verify: words match), 1 verify mismatch,
 2 malformed input or arguments or an unreadable input file, 3 domain
 errors (wrong determinant, unsupported dimension, bad indices),
-4 exhausted budgets, 5 any other exception (an internal error,
-reported on one line), 141 stdout closed by its reader (no message).
+4 exhausted budgets, 5 internal errors (InternalStateError or any other
+exception, on one line), 141 stdout closed by its reader (no message).
 Logarithms in reported bounds and ratios are natural.
 
 Each subcommand imports the modules it uses when it runs, and the parser
@@ -19,7 +19,7 @@ import os
 import re
 import sys
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, CayleyNavError, DomainError, ParseError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, CayleyNavError, DomainError, InternalStateError, ParseError
 
 SL2_RADIUS_LIMIT = 14  # cap on the exhaustive SL_2(Z) ball: radius 14 has 147 436 states
 
@@ -91,16 +91,17 @@ def cmd_gcd(args) -> int:
     from .euclid import DEFAULT_K, accelerated_reduce, step_bound, subtractive_gcd
 
     entries = tuple(args.entries)
-    trace = subtractive_gcd(entries)
     k = len(entries) if args.active is None else args.active
-    if not 2 <= k <= len(entries):
+    if args.active is not None and not 2 <= k <= len(entries):
         raise DomainError(f"active length must lie in 2..{len(entries)}, got {k}")
+    inactive, active = entries[:-k], entries[-k:]
+    trace = subtractive_gcd(active)
     # a pair gets a zero pad in front, which is the aux row of its reduction
     res = accelerated_reduce(entries if len(entries) >= 3 else (0,) + entries, k)
-    bound = step_bound(k, max(abs(x) for x in entries[-k:]))
+    bound = step_bound(k, max(map(abs, active)))
     payload = {
         "entries": list(entries),
-        "subtractive": {"steps": trace.step_count, "final": list(trace.final)},
+        "subtractive": {"steps": trace.step_count, "final": list(inactive + trace.final)},
         "accelerated": {
             "length": len(res.word),
             "final": list(res.final),
@@ -110,13 +111,13 @@ def cmd_gcd(args) -> int:
         },
     }
     lines = [
-        f"subtractive: steps={trace.step_count} final={trace.final}",
+        f"subtractive: steps={trace.step_count} final={inactive + trace.final}",
         f"accelerated: length={len(res.word)} bound={bound:.1f} final={res.final}",
     ]
     if not args.trace:
         _emit(args, payload, "\n".join(lines))
         return 0
-    tuples = trace.iter_tuples()  # refuses before any output, then streams up to 10**6 tuples
+    tuples = (inactive + t for t in trace.iter_tuples())  # refuses before any output, then streams
     if args.json:
         import json
 
@@ -149,7 +150,7 @@ def _normal_form(m: MatZ):
 
 
 def cmd_normal_form(args) -> int:
-    from .core import MatZ, sup_norm
+    from .core import MatZ
     from .formats import word_to_json
 
     text = _read_text(args.path)
@@ -166,7 +167,7 @@ def cmd_normal_form(args) -> int:
     for block in blocks:
         m = _read_matrix(block, MatZ)
         res, row = _normal_form(m)
-        norm = sup_norm(m)
+        norm = res.column_norms[0]
         ratio = len(res.word) / math.log(norm) if norm >= 2 else None
         rows.append(dict(row, n=m.n, norm=norm, ratio=ratio))
         a, b, c = res.phase_lengths
@@ -255,7 +256,6 @@ def cmd_bfs_diameter(args) -> int:
 
 def cmd_sl2_lowerbound(args) -> int:
     from .bfs import row_move_distances
-    from .errors import InternalStateError
     from .fibonacci import fib
 
     r = args.radius
@@ -400,6 +400,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InternalStateError as exc:
+        print(f"error: internal: InternalStateError: {exc}", file=sys.stderr)
+        return 5
     except CayleyNavError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

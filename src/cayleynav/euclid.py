@@ -8,7 +8,8 @@ exact at any size; only expanding a trace into unit steps is budgeted.
 The accelerated one is rowreduce.RowReducer.fold on the one-column matrix
 of the entries: the N-ary division rounds that clear a column of a
 matrix, each round one compressed batch with the smallest entry as
-source, so the letter count is logarithmic in the entry size.
+source, so the letter count is logarithmic in the entry size.  The row
+engine owns the N >= 3 rule: RowReducer() refuses fewer entries.
 """
 
 import math
@@ -153,9 +154,8 @@ def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
     evaluates to the inverse premultiplier, is inverted into the word.
     """
     vals = [operator.index(x) for x in entries]
-    n = len(vals)
-    if n < 3:
-        raise DomainError(f"accelerated reduction needs dimension >= 3, got {n}")
+    red = RowReducer([[v] for v in vals])  # refuses N < 3
+    n = red.n
     if k is None:
         k = n
     if not (2 <= k <= n):
@@ -163,7 +163,6 @@ def accelerated_reduce(entries, k: int | None = None) -> AcceleratedResult:
     active = range(n - k + 1, n + 1)
     if all(vals[a - 1] == 0 for a in active):
         raise DomainError("active entries are all zero, gcd undefined")
-    red = RowReducer([[v] for v in vals])
     _, moves = red.fold(1, active)
     return AcceleratedResult(
         _word(n, tuple(red.out)).inverse(),

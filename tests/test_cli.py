@@ -24,7 +24,16 @@ from cayleynav.core import (
     eval_word_z,
     least_abs_residue,
 )
-from cayleynav.errors import DomainError, ParseError
+from cayleynav.errors import (
+    BudgetExceededError,
+    CayleyNavError,
+    DomainError,
+    InternalStateError,
+    InvalidGeneratorError,
+    NotInGroupError,
+    ParseError,
+    UnsupportedDimensionError,
+)
 from cayleynav.euclid import step_bound, subtractive_gcd
 from cayleynav.fibonacci import zeckendorf_length_bound
 from cayleynav.formats import parse_matrix_text, parse_word_text, word_to_json
@@ -192,6 +201,30 @@ def test_cli_gcd_bound_reads_only_the_active_entries(capsys):
     assert out.splitlines()[1] == "accelerated: length=4 bound=95.5 final=(1000000, 0, 1)"
     rc, out, _ = run(capsys, "gcd", "--json", "--active", "2", "--", "1000000", "3", "4")
     assert json.loads(out)["accelerated"]["bound"] == step_bound(2, 4)
+
+
+def test_cli_gcd_both_engines_reduce_the_active_entries(capsys):
+    # the subtractive run reduces the same trailing pair as the accelerated
+    # one, and its final tuple and trace keep the inactive head as given
+    rc, out, _ = run(capsys, "gcd", "--active", "2", "--", "1000000", "3", "4")
+    assert rc == 0
+    assert out.splitlines() == [
+        "subtractive: steps=4 final=(1000000, 0, 1)",
+        "accelerated: length=4 bound=95.5 final=(1000000, 0, 1)",
+    ]
+    rc, out, _ = run(capsys, "gcd", "--json", "--active", "2", "--", "1000000", "3", "4")
+    assert json.loads(out)["subtractive"] == {"final": [1000000, 0, 1], "steps": 4}
+    # the inactive 10**9 does not count against the step budget
+    rc, out, err = run(capsys, "gcd", "--trace", "--active", "2", "--", "1000000000", "3", "4")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    start = lines.index("subtractive trace:") + 1
+    assert lines[start] == "  (1000000000, 3, 4)"
+    assert lines[start + 4] == "  (1000000000, 0, 1)"
+    rc, out, _ = run(capsys, "gcd", "--trace", "--json", "--active", "2", "--", "1000000000", "3", "4")
+    trace = json.loads(out)["subtractive"]["trace"]
+    assert rc == 0 and len(trace) == 5
+    assert trace[0] == [1000000000, 3, 4] and trace[-1] == [1000000000, 0, 1]
 
 
 def test_cli_zeckendorf(capsys):
@@ -756,6 +789,32 @@ def test_cli_internal_error_is_one_line_exit_5(monkeypatch, capsys):
     # typed errors keep their own codes
     rc, _, _ = run(capsys, "compress", "3", "1", "1", "5")
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ParseError, 2),
+        (BudgetExceededError, 4),
+        (DomainError, 3),
+        (InvalidGeneratorError, 3),
+        (UnsupportedDimensionError, 3),
+        (NotInGroupError, 3),
+        (CayleyNavError, 3),
+        (InternalStateError, 5),
+        (ValueError, 5),
+    ],
+)
+def test_cli_exit_code_of_each_error_class(monkeypatch, capsys, error, code):
+    def broken(m):
+        raise error("boom")
+
+    monkeypatch.setattr("cayleynav.fibonacci.zeckendorf", broken)
+    rc, out, err = run(capsys, "zeckendorf", "5")
+    assert (rc, out) == (code, "")
+    # a broken invariant is an internal error, reported with its type
+    shown = f"internal: {error.__name__}: boom" if code == 5 else "boom"
+    assert err == f"error: {shown}\n"
 
 
 def test_cli_closed_stdout_stops_quietly_with_141():

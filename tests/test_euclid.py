@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cayleynav.core import Word, abletter, eletter
 from cayleynav import euclid
-from cayleynav.errors import BudgetExceededError, DomainError
+from cayleynav.errors import BudgetExceededError, DomainError, UnsupportedDimensionError
 from cayleynav.euclid import (
     DEFAULT_K,
     AcceleratedResult,
@@ -265,7 +265,8 @@ def test_accelerated_default_k_covers_everything():
 
 
 def test_accelerated_input_validation():
-    with pytest.raises(DomainError):
+    # the row engine owns the N >= 3 rule
+    with pytest.raises(UnsupportedDimensionError, match=r"^row reduction needs dimension >= 3, got 2$"):
         accelerated_reduce((3, 4), 2)
     with pytest.raises(DomainError):
         accelerated_reduce((1, 2, 3), 1)
