@@ -40,8 +40,9 @@ Zeckendorf indices k of |m_i|: the exact power on column c and junk on
 column d, in 4 max n_i + sum r_i letters.  It keeps the positive layout
 whatever the signs, since each carried letter has its own sign.  A caller
 that does not mind the junk, because column d is cleared later anyway,
-asks _batch_letters for it; a target no longer than its own half walk,
-which covers every |m| <= 14, stays plain.
+asks _batch_letters for it, which returns each (i, x_i) with the
+letters; a target no longer than its own half walk, which covers every
+|m| <= 14, stays plain.
 """
 
 import operator
@@ -118,22 +119,22 @@ def _plain_letters(i: int, j: int, m: int) -> tuple:
     return (eletter(i, j, 1 if m > 0 else -1),) * abs(m)
 
 
-def _batch_letters(out: list, j: int, powers, pool, junk=None) -> list:
-    """Append the letters of the product of e(i, j)^m over (i, m) in powers to out.
+def _batch_letters(j: int, powers, pool, junk=None) -> tuple[list, list]:
+    """Return (letters, moved): the letters of the product of e(i, j)^m over (i, m) in powers.
 
     The targets i are distinct and differ from j.  Plain targets come
     first, in order, then the fused template, whose aux is the first index
     of pool outside j and the fused targets; without one, the fused
     targets are split into two templates, each using the first target of
-    the other half.  The indices are valid by construction.  Returns out.
+    the other half.  The indices are valid by construction.
 
-    junk, when given, is a pair (d, moved) with d outside j and the
-    targets.  The fused targets then take one half walk, with source d and
-    aux j, which also raises each of them by e(i, d)^x; (i, x) is appended
-    to moved.  Each target's decomposition is computed once, and x is read
-    from the Fibonacci table that computed it.
+    junk, when given, is a column d outside j and the targets.  The fused
+    targets then take one half walk, with source d and aux j, which also
+    raises each of them by e(i, d)^x; moved lists each (i, x), and is
+    empty otherwise.  Each target's decomposition is computed once, and x
+    is read from the Fibonacci table that computed it.
     """
-    fused = []
+    letters, fused = [], []
     for i, m in powers:
         mag = abs(m)
         if mag > _PLAIN_MAX:
@@ -142,27 +143,27 @@ def _batch_letters(out: list, j: int, powers, pool, junk=None) -> list:
             if mag > (walk if junk else 4 + 2 * walk):
                 fused.append((i, ks, m))
                 continue
-        out += _plain_letters(i, j, m)
+        letters += _plain_letters(i, j, m)
     if not fused:
-        return out
+        return letters, []
     if junk:
-        d, moved = junk
-        out += _fused_template(d, j, fused, walk_only=True)
+        letters += _fused_template(junk, j, fused, walk_only=True)
         fibs = _fib_table(0)  # holds every F_k of fused, and so every F_(k-1)
+        moved = []
         for i, ks, m in fused:
             x = sum(fibs[k - 1] for k in ks)
             moved.append((i, x if m > 0 else -x))
-        return out
+        return letters, moved
     busy = {i for i, _, _ in fused}
     aux = next((a for a in pool if a != j and a not in busy), None)
     if aux is not None:
-        out += _fused_template(j, aux, fused)
+        letters += _fused_template(j, aux, fused)
     else:
         half = len(fused) // 2
         first, second = fused[:half], fused[half:]
-        out += _fused_template(j, second[0][0], first)
-        out += _fused_template(j, first[0][0], second)
-    return out
+        letters += _fused_template(j, second[0][0], first)
+        letters += _fused_template(j, first[0][0], second)
+    return letters, []
 
 
 def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Word:
@@ -185,5 +186,5 @@ def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Wo
             f"auxiliary index {aux} must lie in 1..{n} outside {{{i},{j}}}"
         )
     pool = range(1, n + 1) if aux is None else (operator.index(aux),)
-    return _word(n, tuple(_batch_letters([], j, ((i, m),), pool)))
+    return _word(n, tuple(_batch_letters(j, ((i, m),), pool)[0]))
 

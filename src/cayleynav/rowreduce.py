@@ -146,7 +146,7 @@ class RowReducer:
         _PLAIN_MAX is spelled plainly at once, without the batch speller.
         With a junk column d outside j and the targets (over Z/p only),
         the fused targets take the half walk: each of them also gets
-        row_i -= x * row_d, with the x compression._batch_letters reports.
+        row_i -= x * row_d, with the x compression._batch_letters returns.
         """
         rows, p, src = self.rows, self.p, self.rows[j - 1]
         for i, q in mults:
@@ -158,15 +158,10 @@ class RowReducer:
         if len(mults) == 1 and -_PLAIN_MAX <= q <= _PLAIN_MAX:  # (i, q) is the one target
             self.out += _plain_letters(i, j, -q)
             return
-        powers = [(i, -q) for i, q in mults]
-        if junk is None:
-            _batch_letters(self.out, j, powers, pool)
-            return
-        moved = []
-        _batch_letters(self.out, j, powers, pool, (junk, moved))
-        row_d = rows[junk - 1]
+        letters, moved = _batch_letters(j, [(i, -q) for i, q in mults], pool, junk)
+        self.out += letters
         for i, x in moved:
-            rows[i - 1] = [(y - x * z) % p for y, z in zip(rows[i - 1], row_d)]
+            rows[i - 1] = [(y - x * z) % p for y, z in zip(rows[i - 1], rows[junk - 1])]
 
     def add(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j, emitting the letters of compress_power(n, i, j, -q)."""

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -874,3 +876,52 @@ def test_cli_budget_defaults_are_the_search_budget():
     parser = build_parser()
     assert parser.parse_args(["bfs-diameter", "3", "2"]).budget == DEFAULT_BUDGET
     assert parser.parse_args(["fp-report", "3", "5"]).budget == DEFAULT_BUDGET
+
+
+# ---------------------------------------------------------------- README
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """The commands of the README command-line block, in order.
+
+    Each is (comment lines just above it, argv after cayley-nav, the
+    "# -> " lines just below it).  A command on a file or a pipe has no
+    "# -> " lines below it.
+    """
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, comments, after_command = [], [], False
+    for line in block.splitlines():
+        if after_command and line.startswith("# -> "):
+            examples[-1][2].append(line[len("# -> ") :])
+            continue
+        after_command = line.startswith("cayley-nav ")
+        if after_command:
+            examples.append((comments, shlex.split(line)[1:], []))
+            comments = []
+        elif line.startswith("#"):
+            comments.append(line)
+        else:
+            comments = []
+    return examples
+
+
+def test_cli_readme_examples_print_what_the_readme_says(capsys):
+    checked = []
+    for comments, argv, expected in readme_examples():
+        claim = re.search(r"(\d+) letters instead of (\d+)", " ".join(comments))
+        if not expected and not claim:
+            continue
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0, argv
+        lines = iter(out.splitlines())
+        for want in expected:
+            # membership consumes the iterator, so the lines match in order
+            assert want in lines, (argv, want)
+        if claim:
+            assert argv[0] == "compress" and int(argv[4]) == int(claim[2])
+            assert len(parse_word_text(out, int(argv[1]))) == int(claim[1])
+        checked.append(argv[0])
+    assert checked == ["compress", "compress", "zeckendorf", "gcd", "gcd", "gcd", "bfs-diameter"]

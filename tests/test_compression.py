@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from functools import reduce
 
 import pytest
 
@@ -23,15 +22,15 @@ from cayleynav.formats import parse_word_text
 
 
 def e13_power(m):
-    # independent route: literal product of generator matrices
-    if m == 0:
-        return MatZ.identity(3)
-    letter = eletter(1, 3, 1 if m > 0 else -1)
-    return reduce(
-        lambda acc, _: acc * letter_matrix_z(letter, 3),
-        range(abs(m)),
-        MatZ.identity(3),
-    )
+    # independent route: repeated squaring of the generator matrix, in MatZ products
+    result, square = MatZ.identity(3), letter_matrix_z(eletter(1, 3, 1 if m > 0 else -1), 3)
+    k = abs(m)
+    while k:
+        if k & 1:
+            result = result * square
+        square = square * square
+        k >>= 1
+    return result
 
 
 def target(n, i, j, m):
@@ -252,7 +251,8 @@ def test_batch_evaluates_to_the_product_of_its_powers():
         for _ in range(40):
             j, powers = random_batch(rng, n)
             pool = rng.sample(range(1, n + 1), n)
-            letters = _batch_letters([], j, powers, pool)
+            letters, moved = _batch_letters(j, powers, pool)
+            assert moved == []
             assert eval_word_z(Word(n, tuple(letters))) == batch_target(n, j, powers)
             # letters touch only the targets, the source and aux
             targets = {i for i, _ in powers}
@@ -285,7 +285,7 @@ def test_batch_without_a_free_row_splits_in_two():
             j = rng.randrange(1, n + 1)
             targets = [i for i in range(1, n + 1) if i != j]
             powers = [(i, rng.choice((1, -1)) * rng.randint(10**6, 2**61 - 2)) for i in targets]
-            letters = _batch_letters([], j, powers, range(1, n + 1))
+            letters, _ = _batch_letters(j, powers, range(1, n + 1))
             assert eval_word_z(Word(n, tuple(letters))) == batch_target(n, j, powers)
             half = len(targets) // 2
             first, second = targets[:half], targets[half:]
@@ -327,7 +327,7 @@ def test_one_target_batch_is_the_single_power_spelling():
     n = 4
     for i, j, aux in itertools.permutations(range(1, n + 1), 3):
         for m in range(-2000, 2001):
-            letters = _batch_letters([], j, [(i, m)], (aux,))
+            letters, _ = _batch_letters(j, [(i, m)], (aux,))
             assert tuple(letters) == compress_power(n, i, j, m, aux).letters
             if (i, j, aux) == (1, 2, 3) or m % 37 == 0:
                 assert letters == reference_spelling(n, i, j, m, aux)
@@ -356,8 +356,9 @@ def test_half_walk_evaluates_to_the_powers_and_their_junk():
             for i in targets:
                 mag = (rng.randint(1, 40), rng.randint(1, 10**9), rng.randint(1, 2**61))[rng.randrange(3)]
                 powers.append((i, rng.choice((1, -1)) * mag))
-            moved = []
-            letters = _batch_letters([], c, powers, range(1, n + 1), (d, moved))
+            given = list(powers)
+            letters, moved = _batch_letters(c, powers, range(1, n + 1), d)
+            assert powers == given
             # the half walk takes every target longer than its own walk
             half = {}
             for i, m in powers:
@@ -377,7 +378,7 @@ def test_half_walk_evaluates_to_the_powers_and_their_junk():
             if half:
                 cost += 4 * max(ks[-1] // 2 for ks in half.values()) + sum(map(len, half.values()))
             assert len(letters) == cost
-            assert len(letters) <= len(_batch_letters([], c, powers, (d,)))
+            assert len(letters) <= len(_batch_letters(c, powers, (d,))[0])
 
 
 def test_half_walk_known_lengths():
@@ -389,10 +390,10 @@ def test_half_walk_known_lengths():
         (2**40 + 17, 132, 268, 679535557002),
     ):
         for sign in (1, -1):
-            moved = []
-            letters = _batch_letters([], 2, [(1, sign * m)], (4,), (4, moved))
+            letters, moved = _batch_letters(2, [(1, sign * m)], (4,), 4)
             assert len(letters) == walk and moved == [(1, sign * x)]
-            assert len(_batch_letters([], 2, [(1, sign * m)], (4,))) == full
+            letters_full, moved_full = _batch_letters(2, [(1, sign * m)], (4,))
+            assert len(letters_full) == full and moved_full == []
             # the half walk keeps the positive layout: the carried letters
             # take the sign of m, the (t, s) steps do not change
             t, s, top = eletter(2, 4), eletter(4, 2), zeckendorf(m).indices[-1] // 2

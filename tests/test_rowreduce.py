@@ -107,18 +107,17 @@ def test_clear_upper_takes_the_half_walk_only_over_fp_before_column_n(p):
             red.clear_upper()
             assert all(red.rows[r][c] == 0 for r in range(n) for c in range(r + 1, n))
             powers = upper_powers(rows, col, p)
-            full = _batch_letters([], col, powers, range(1, n + 1))
+            full, _ = _batch_letters(col, powers, range(1, n + 1))
             if p is None or col == n:
                 assert red.out == full
                 continue
-            moved = []
-            half = _batch_letters([], col, powers, range(1, n + 1), (n, moved))
+            half, moved = _batch_letters(col, powers, range(1, n + 1), n)
             assert len(half) <= len(full) and red.out[: len(half)] == half
             # the junk lands on column n, times its pivot, which column n then
             # clears with the full template
             for i, x in moved:
                 rows[i - 1][n - 1] = (rows[i - 1][n - 1] - x * rows[n - 1][n - 1]) % p
-            assert red.out[len(half) :] == _batch_letters([], n, upper_powers(rows, n, p), range(1, n + 1))
+            assert red.out[len(half) :] == _batch_letters(n, upper_powers(rows, n, p), range(1, n + 1))[0]
 
 
 @pytest.mark.parametrize("p", [None, 7])
