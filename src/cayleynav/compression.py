@@ -30,7 +30,9 @@ plain spelling is no longer than its own template stays plain, so
 letters), and compress_power spells a batch of one target.  aux is
 the first index of a given pool outside the source and the fused targets;
 when the pool has none, the fused targets are split in two halves and
-each half takes a member of the other as aux.
+each half takes a member of the other as aux.  A common-target batch, the
+product of e(i, l)^m_l over sources l, is the transpose of the batch on
+source i, which rowreduce.RowReducer.gather reverses and transposes.
 
 The half walk is the second half (t s)^-n u of the template on its own.
 The first half only cancels what it leaves on the column paired with aux,

@@ -18,8 +18,9 @@ and one common source j.  Its premultipliers commute, so it emits the
 letters of the product of e(i, j)^-q_i as one fused template
 (compression._batch_letters), without building a Word per batch.  A
 single row operation is a batch of one, spelled plainly at once when
-|q| <= 14, and a signed swap is three row operations, so batch is the
-only place the engine spells letters.  The letters are valid by
+|q| <= 14, and a signed swap is three row operations.  gather spells the
+transpose, one common target and several sources, by the same speller;
+the engine spells letters nowhere else.  The letters are valid by
 construction, so reduce wraps the output with core._word, and
 check_identity vouches for what they evaluate to.
 
@@ -52,16 +53,16 @@ follow see small entries, and the entries met stay near the input norm.
 Without it, clearing column c can square the magnitudes so far.  lll runs
 on a virtual order of the rows: a swap exchanges two positions of a
 permutation (Cohen's unsigned SWAPI), moves no row and emits no letter,
-and each size reduction is one add.  The reduced rows stay where they
-are, and column clearing moves each carrier onto the diagonal with at
-most N - 1 signed swaps.
+and each run of size reductions on one row is one gather.  The reduced
+rows stay where they are, and column clearing moves each carrier onto
+the diagonal with at most N - 1 signed swaps.
 """
 
 from collections import namedtuple
 
 from . import core
 from .compression import _PLAIN_MAX, _batch_letters, _plain_letters
-from .core import Word, _word, inverse_mod, least_abs_residue
+from .core import ELEMENTARY, Word, _letter, _word, inverse_mod, least_abs_residue
 from .errors import InternalStateError, NotInGroupError, UnsupportedDimensionError
 
 
@@ -163,6 +164,23 @@ class RowReducer:
         for i, x in moved:
             rows[i - 1] = [(y - x * z) % p for y, z in zip(rows[i - 1], rows[junk - 1])]
 
+    def gather(self, i: int, mults) -> None:
+        """Emit the letters undoing row_i += q * row_l for every (l, q) in mults, as one batch.
+
+        The rows already hold the sums, and the sources l differ.  The e(i, l)^q
+        commute (E_il E_il' = 0), and their product is the transpose of the
+        batch on source i: the speller's letters reversed, e(a, b) as e(b, a).
+        """
+        fused = []
+        for l, q in mults:
+            if -_PLAIN_MAX <= q <= _PLAIN_MAX:
+                self.out += _plain_letters(i, l, -q)
+            else:
+                fused.append((l, -q))
+        if fused:
+            letters, _ = _batch_letters(i, fused, self.all_rows)
+            self.out += [_letter(ELEMENTARY, x.e, x.j, x.i, "") for x in reversed(letters)]
+
     def add(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j, emitting the letters of compress_power(n, i, j, -q)."""
         self.batch(j, ((i, q),), self.all_rows)
@@ -185,6 +203,9 @@ class RowReducer:
         exchanges two entries of perm (Cohen's unsigned SWAPI).  d[i] is the
         Gram determinant of the first i positions and lam[k][j] is d[j + 1]
         times the Gram-Schmidt coefficient mu[k][j], all exact integers.
+        A size reduction adds to its row at once, as the Gram step reads the
+        rows; pend sums the multiples per source of the run on row run, which
+        one gather spells when the row changes or lll returns.
         Returns perm: rows perm[0], ..., perm[n - 1] (0-based) are the
         reduced basis in order.  Linearly dependent rows raise
         NotInGroupError: a new Gram determinant d[k + 1] is then 0.
@@ -195,13 +216,21 @@ class RowReducer:
         if not d[1]:
             raise NotInGroupError("row 1 is zero, determinant is 0")
         lam = [[0] * n for _ in range(n)]
+        run, pend = None, {}
 
         def size_reduce(k: int, l: int) -> None:
+            nonlocal run, pend
             u, dl = lam[k][l], d[l + 1]
             if 2 * abs(u) <= dl:
                 return
             q = (2 * u + dl) // (2 * dl)
-            self.add(perm[k] + 1, perm[l] + 1, -q)
+            t, s = perm[k] + 1, perm[l] + 1
+            if t != run:
+                self.gather(run, pend.items())
+                run, pend = t, {}
+            rows[t - 1] = new = [x - q * y for x, y in zip(rows[t - 1], rows[s - 1])]
+            self.peak = max(self.peak, max(map(abs, new)))
+            pend[s] = pend.get(s, 0) - q
             lam[k][l] = u - q * dl
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
@@ -238,6 +267,7 @@ class RowReducer:
                 for l in range(k - 2, -1, -1):
                     size_reduce(k, l)
                 k += 1
+        self.gather(run, pend.items())
         return perm
 
     def fold(self, col: int, active: range) -> tuple[int, list[tuple[int, int, int]]]:

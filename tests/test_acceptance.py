@@ -167,11 +167,12 @@ def test_acceptance_06_normal_form_round_trip():
             if norm >= 2:
                 worst_ratio = max(worst_ratio, len(w) / math.log(norm))
     elapsed = time.monotonic() - start
+    # measured worst 56.7 with LLL's runs on one row fused (72.4 before)
     report(
         6,
         "normal form round trip",
-        elapsed < 120.0 and worst_ratio <= 93.0,
-        f"3000 matrices exact, worst length/ln(norm)={worst_ratio:.1f} (<= 93), "
+        elapsed < 120.0 and worst_ratio <= 70.0,
+        f"3000 matrices exact, worst length/ln(norm)={worst_ratio:.1f} (<= 70), "
         f"elapsed={elapsed:.1f}s",
     )
 

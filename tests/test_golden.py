@@ -51,31 +51,33 @@ def unimodular_corpus(n: int):
 
 # upper clearing runs right to left over Z: the upper triangular case, which
 # skips LLL, takes 76/203/239/351/390/738 letters for N = 3..8 with peaks at
-# most 50, and the hand-run upper phase 350/415/514/830/886/1067
+# most 50, and the hand-run upper phase 350/415/514/830/886/1067.  LLL spells
+# each run of size reductions on one row as one common-target batch: the
+# four words take 9992/16049/16493/18638/17754/26897 letters for N = 3..8
 GOLDEN_Z = {
     3: (
-        "c94c17debb326300b279d6b202ea0d39eba2dfba12ae60af2ae87ac7e9cc69c0",
+        "e1acfccb900ab0a59440609669755089243ff880aa7212cfa8be1e8c25c4dbc2",
         "e241d2188eb723be6ec48ec440a6d18cc701d270758989200093e8568d3e15cb",
     ),
     4: (
-        "08e90213a9db09845560b17b504577c1e5366709399bbd56adee65796c19391f",
-        "dc87e62e78b78cc7abdb7b98123ec259891651357fe5470e336f2133053bc63e",
+        "89ecbcf8f174404fdb43f82fc15ed61aedf9f47c6042f06e44d9852bba6a17c6",
+        "97f129e5096308b343116610ddb7e72be52d8a148c091d11a41ea457d1e86054",
     ),
     5: (
-        "5ea04cae5cc4d233b9545392fc24cd5f30f5b5e5ae95b550e2957ffff657adbd",
-        "d0a767b4261cb417851ca691ebff87ec0865f2273d58db0f4251bf7a7e5cdf0f",
+        "7b6da866847af2bcd72a81ace105d62bc73e549e558ede55f2b0855ca8c7af3c",
+        "1f6608f81abaa32d30e1870d326f5cdfb96617d0ac6c77112a4f4780715a1c6b",
     ),
     6: (
-        "ba8a6b8ded0fad2b62971bdc9db5c5ccf24bdfcaf9413cb969813ca093b60f5d",
-        "c7697e6c5c3f31eefa63f36b5c6e627b0038e68bcbd6a29a8065e3cd8ecb089b",
+        "8db49e40a453244786891843184762db4d8722523c24f6a5aaf0041f716a10da",
+        "11f86dc20a7325b1be6644336184af2bc5ccd11308dc28c38a488e3fb0ef8a5a",
     ),
     7: (
-        "b347ba1b763cb1281bd9ad6e4ed8e72b1cd1c4af3a7a5d62cca94e98d6a2d26d",
-        "37a1c81ec527a95cf0062d83a7f09c396214c42831b55d9ace271deb2472c833",
+        "cb8d71e754ab6237233ccd0e0df713841a5e998a0f254f2697a504cbbe50cafa",
+        "a812d5b7786f306dacd9d1e3a1a9768fbacc71cee99928c832b7909384570ef5",
     ),
     8: (
-        "cbe880bb1ca4f73bc8d0d77e896f9364f85f596945b7db3c42b1367354471840",
-        "7c7e7bdeb9df1e7bc90f0fb63c410dd941dc87cee45bc63c5e81723d63382fe7",
+        "3261d8eb4f55314a335ec29e14918a770aef67121bb7207463b7bc849257fde9",
+        "0d133f7a0093adec0672ac933b714a41ba5d755334e6de1b3ed93c3b861430ad",
     ),
 }
 

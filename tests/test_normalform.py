@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -286,3 +287,32 @@ def test_lll_swaps_emit_no_letters():
     assert red.lll() == [1, 2, 0]
     assert red.rows == [[1, 0, 0], [0, 0, 1], [0, -1, 0]]
     assert Word(3, tuple(red.out)).tokens() == "e(1,3)^-1"
+
+
+def product_to_norm(rng, n, ln_target):
+    """A random product of elementary letters, stopped once its sup norm passes e^ln_target.
+
+    Returns the matrix and its letter count, the witness: an upper bound on
+    its word length.
+    """
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    letters = 0
+    while max(abs(x) for row in rows for x in row) <= math.exp(ln_target):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
+        letters += 1
+    return MatZ.from_rows(rows), letters
+
+
+# worst length / witness over the three matrices, measured: 6.13 at N = 12
+# and 7.96 at N = 16, where LLL spelled each size reduction on its own
+# before its runs were fused (17.1 and 21.9)
+@pytest.mark.parametrize("n,bound", [(12, 7.0), (16, 9.0)])
+def test_large_dimension_words_stay_near_the_witness(n, bound):
+    rng = random.Random(1000 + n)
+    for _ in range(3):
+        m, witness = product_to_norm(rng, n, 60.0)
+        word = normal_form(m)
+        assert eval_word_z(word) == m
+        assert len(word) <= bound * witness

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cayleynav.compression import _batch_letters
+from cayleynav.compression import _batch_letters, compress_power
 from cayleynav.core import MatZ, Word, eletter, eval_word_fp, eval_word_z, least_abs_residue
 from cayleynav.errors import NotInGroupError, UnsupportedDimensionError
 from cayleynav.modp import random_sl_fp
@@ -153,3 +153,59 @@ def test_lll_refuses_dependent_rows():
     for rows in cases:
         with pytest.raises(NotInGroupError, match="determinant is 0"):
             RowReducer(rows).lll()
+
+
+def common_target(n, k, powers):
+    """The product of e(k, l)^m over (l, m) in powers: the identity with row k raised."""
+    rows = [[int(r == c) for c in range(1, n + 1)] for r in range(1, n + 1)]
+    for l, m in powers:
+        rows[k - 1][l - 1] += m
+    return MatZ.from_rows(rows)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_gather_spells_the_common_target_product(n):
+    # gather(k, [(l, q)]) undoes row_k += q * row_l, so q = -m spells e(k, l)^m
+    rng = random.Random(f"gather:{n}")
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    for trial in range(40):
+        k = rng.randrange(1, n + 1)
+        sources = rng.sample([l for l in range(1, n + 1) if l != k], rng.randrange(1, n))
+        bound = 14 if trial % 4 == 0 else 2 ** rng.choice((8, 30, 70))
+        powers = [(l, rng.choice((1, -1)) * rng.randrange(1, bound + 1)) for l in sources]
+        red = RowReducer(copy.deepcopy(identity))
+        red.gather(k, [(l, -m) for l, m in powers])
+        assert eval_word_z(Word(n, tuple(red.out))) == common_target(n, k, powers)
+        assert red.rows == identity
+        singles = sum(len(compress_power(n, k, l, m)) for l, m in powers)
+        assert len(red.out) <= singles
+        if all(abs(m) <= 14 for _, m in powers):
+            assert len(red.out) == singles
+
+
+def test_gather_without_a_free_aux_splits_in_two():
+    # N = 3, one target and two template sources: every index is busy, so
+    # the batch splits into two templates and costs what two powers cost
+    rng = random.Random("gather:split")
+    for _ in range(30):
+        k, l1, l2 = rng.sample(range(1, 4), 3)
+        powers = [(l, rng.choice((1, -1)) * rng.randrange(15, 2**70)) for l in (l1, l2)]
+        red = RowReducer([[int(r == c) for c in range(3)] for r in range(3)])
+        red.gather(k, [(l, -m) for l, m in powers])
+        assert eval_word_z(Word(3, tuple(red.out))) == common_target(3, k, powers)
+        assert len(red.out) == sum(len(compress_power(3, k, l, m)) for l, m in powers)
+
+
+def test_lll_spells_a_run_on_one_row_as_one_batch():
+    # row 5 = e5 + a e1 + b e2 + c e3 over the unit rows: lll size-reduces it
+    # by sources 3, 2 and 1, one run, fused into one template with aux 4
+    a, b, c = 1000, -777, 2**40 + 3
+    rows = [[int(r == col) for col in range(5)] for r in range(5)]
+    rows[4] = [a, b, c, 0, 1]
+    m = MatZ.from_rows(rows)
+    red = RowReducer(copy.deepcopy(rows))
+    assert red.lll() == [0, 1, 2, 3, 4]
+    assert red.rows == [[int(r == col) for col in range(5)] for r in range(5)]
+    assert eval_word_z(Word(5, tuple(red.out))) == m
+    singles = sum(len(compress_power(5, 5, l, q)) for l, q in ((1, a), (2, b), (3, c)))
+    assert len(red.out) < singles
