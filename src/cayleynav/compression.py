@@ -32,7 +32,7 @@ the first index of a given pool outside the source and the fused targets;
 when the pool has none, the fused targets are split in two halves and
 each half takes a member of the other as aux.  A common-target batch, the
 product of e(i, l)^m_l over sources l, is the transpose of the batch on
-source i, which rowreduce.RowReducer.gather reverses and transposes.
+source i: _gather_letters reverses its letters and transposes each one.
 
 The half walk is the second half (t s)^-n u of the template on its own.
 The first half only cancels what it leaves on the column paired with aux,
@@ -50,7 +50,7 @@ letters; a target no longer than its own half walk, which covers every
 import operator
 from functools import lru_cache
 
-from .core import Word, _word, eletter
+from .core import ELEMENTARY, Word, _letter, _word, eletter
 from .errors import InvalidGeneratorError, UnsupportedDimensionError
 from .fibonacci import _fib_table, zeckendorf
 
@@ -166,6 +166,23 @@ def _batch_letters(j: int, powers, pool, junk=None) -> tuple[list, list]:
         letters += _fused_template(j, second[0][0], first)
         letters += _fused_template(j, first[0][0], second)
     return letters, []
+
+
+def _gather_letters(i: int, powers, pool) -> list:
+    """Letters of the product of e(i, l)^m over (l, m) in powers, the sources distinct.
+
+    Plain sources, |m| <= _PLAIN_MAX, come first; the rest is the batch on source i, transposed.
+    """
+    letters, fused = [], []
+    for l, m in powers:
+        if -_PLAIN_MAX <= m <= _PLAIN_MAX:
+            letters += _plain_letters(i, l, m)
+        else:
+            fused.append((l, m))
+    if fused:
+        batch, _ = _batch_letters(i, fused, pool)
+        letters += [_letter(ELEMENTARY, x.e, x.j, x.i, "") for x in reversed(batch)]
+    return letters
 
 
 def compress_power(n: int, i: int, j: int, m: int, aux: int | None = None) -> Word:

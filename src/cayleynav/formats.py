@@ -13,13 +13,15 @@ Word JSON: {"n": N, "alphabet": ..., "letters": [...]}, each letter
 import re
 
 from .core import ELEMENTARY, MatFp, MatZ, Word, abletter, eletter
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 _TOKEN_RE = re.compile(r"^(?:e\((\d+),(\d+)\)|([AB]))(\^-1)?$")
 
 
 def parse_word_text(text: str, n: int) -> Word:
-    """Parse a token stream into a Word of dimension n."""
+    """Parse a token stream into a Word of dimension n; n < 2 raises DomainError before any token."""
+    if n < 2:
+        raise DomainError(f"word dimension must be at least 2, got {n}")
     letters = []
     for tok in text.split():
         m = _TOKEN_RE.match(tok)
@@ -42,8 +44,8 @@ def parse_word_text(text: str, n: int) -> Word:
 def parse_matrix_text(text: str) -> MatZ | MatFp:
     """Parse the matrix text format; the header decides Z versus F_p.
 
-    Malformed text raises ParseError; a modulus that is not prime is a
-    domain error and raises DomainError, as it does everywhere else.
+    Malformed text raises ParseError; a dimension below 1 or a modulus that
+    is not prime raises DomainError, as it does everywhere else.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -56,6 +58,8 @@ def parse_matrix_text(text: str) -> MatZ | MatFp:
         p = int(header[1]) if len(header) == 2 else None
     except ValueError as exc:
         raise ParseError(f"bad matrix header {lines[0]!r}") from exc
+    if n < 1:
+        raise DomainError(f"matrix dimension must be at least 1, got {n}")
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []

@@ -17,11 +17,10 @@ The unit of work is a batch: row_i += q_i * row_j for several targets i
 and one common source j.  Its premultipliers commute, so it emits the
 letters of the product of e(i, j)^-q_i as one fused template
 (compression._batch_letters), without building a Word per batch.  A
-single row operation is a batch of one, spelled plainly at once when
-|q| <= 14, and a signed swap is three row operations.  gather spells the
-transpose, one common target and several sources, by the same speller;
-the engine spells letters nowhere else.  The letters are valid by
-construction, so reduce wraps the output with core._word, and
+single row operation is a batch of one, and a signed swap is three row
+operations.  The engine builds no letter: compression spells each batch,
+and LLL's common-target runs by _gather_letters.  The letters are valid
+by construction, so reduce wraps the output with core._word, and
 check_identity vouches for what they evaluate to.
 
 Column clearing folds the column into a carrier row by N-ary Euclidean
@@ -53,16 +52,16 @@ follow see small entries, and the entries met stay near the input norm.
 Without it, clearing column c can square the magnitudes so far.  lll runs
 on a virtual order of the rows: a swap exchanges two positions of a
 permutation (Cohen's unsigned SWAPI), moves no row and emits no letter,
-and each run of size reductions on one row is one gather.  The reduced
-rows stay where they are, and column clearing moves each carrier onto
-the diagonal with at most N - 1 signed swaps.
+and each run of size reductions on one row is one common-target batch.
+The reduced rows stay where they are, and column clearing moves each
+carrier onto the diagonal with at most N - 1 signed swaps.
 """
 
 from collections import namedtuple
 
 from . import core
-from .compression import _PLAIN_MAX, _batch_letters, _plain_letters
-from .core import ELEMENTARY, Word, _letter, _word, inverse_mod, least_abs_residue
+from .compression import _batch_letters, _gather_letters
+from .core import Word, _word, inverse_mod, least_abs_residue
 from .errors import InternalStateError, NotInGroupError, UnsupportedDimensionError
 
 
@@ -143,11 +142,10 @@ class RowReducer:
         """row_i += q * row_j for every (i, q) in mults, as one batch.
 
         The targets i are distinct and differ from j; the fused template
-        takes its aux index from pool.  A single target with |q| <=
-        _PLAIN_MAX is spelled plainly at once, without the batch speller.
-        With a junk column d outside j and the targets (over Z/p only),
-        the fused targets take the half walk: each of them also gets
-        row_i -= x * row_d, with the x compression._batch_letters returns.
+        takes its aux index from pool, and a target with |q| <= 14 is
+        spelled plainly.  With a junk column d outside j and the targets
+        (over Z/p only), the fused targets take the half walk: each of them
+        also gets row_i -= x * row_d, with the x _batch_letters returns.
         """
         rows, p, src = self.rows, self.p, self.rows[j - 1]
         for i, q in mults:
@@ -156,30 +154,10 @@ class RowReducer:
                 self.peak = max(self.peak, max(map(abs, new)))
             else:
                 rows[i - 1] = [(x + q * y) % p for x, y in zip(rows[i - 1], src)]
-        if len(mults) == 1 and -_PLAIN_MAX <= q <= _PLAIN_MAX:  # (i, q) is the one target
-            self.out += _plain_letters(i, j, -q)
-            return
         letters, moved = _batch_letters(j, [(i, -q) for i, q in mults], pool, junk)
         self.out += letters
         for i, x in moved:
             rows[i - 1] = [(y - x * z) % p for y, z in zip(rows[i - 1], rows[junk - 1])]
-
-    def gather(self, i: int, mults) -> None:
-        """Emit the letters undoing row_i += q * row_l for every (l, q) in mults, as one batch.
-
-        The rows already hold the sums, and the sources l differ.  The e(i, l)^q
-        commute (E_il E_il' = 0), and their product is the transpose of the
-        batch on source i: the speller's letters reversed, e(a, b) as e(b, a).
-        """
-        fused = []
-        for l, q in mults:
-            if -_PLAIN_MAX <= q <= _PLAIN_MAX:
-                self.out += _plain_letters(i, l, -q)
-            else:
-                fused.append((l, -q))
-        if fused:
-            letters, _ = _batch_letters(i, fused, self.all_rows)
-            self.out += [_letter(ELEMENTARY, x.e, x.j, x.i, "") for x in reversed(letters)]
 
     def add(self, i: int, j: int, q: int) -> None:
         """row_i += q * row_j, emitting the letters of compress_power(n, i, j, -q)."""
@@ -204,8 +182,8 @@ class RowReducer:
         Gram determinant of the first i positions and lam[k][j] is d[j + 1]
         times the Gram-Schmidt coefficient mu[k][j], all exact integers.
         A size reduction adds to its row at once, as the Gram step reads the
-        rows; pend sums the multiples per source of the run on row run, which
-        one gather spells when the row changes or lll returns.
+        rows; pend sums the exponents per source of the run on row run, which
+        one _gather_letters call spells when the row changes or lll returns.
         Returns perm: rows perm[0], ..., perm[n - 1] (0-based) are the
         reduced basis in order.  Linearly dependent rows raise
         NotInGroupError: a new Gram determinant d[k + 1] is then 0.
@@ -226,11 +204,11 @@ class RowReducer:
             q = (2 * u + dl) // (2 * dl)
             t, s = perm[k] + 1, perm[l] + 1
             if t != run:
-                self.gather(run, pend.items())
+                self.out += _gather_letters(run, pend.items(), self.all_rows)
                 run, pend = t, {}
             rows[t - 1] = new = [x - q * y for x, y in zip(rows[t - 1], rows[s - 1])]
             self.peak = max(self.peak, max(map(abs, new)))
-            pend[s] = pend.get(s, 0) - q
+            pend[s] = pend.get(s, 0) + q
             lam[k][l] = u - q * dl
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
@@ -267,7 +245,7 @@ class RowReducer:
                 for l in range(k - 2, -1, -1):
                     size_reduce(k, l)
                 k += 1
-        self.gather(run, pend.items())
+        self.out += _gather_letters(run, pend.items(), self.all_rows)
         return perm
 
     def fold(self, col: int, active: range) -> tuple[int, list[tuple[int, int, int]]]:
@@ -342,9 +320,8 @@ class RowReducer:
             inv = self._inverse(rows[j - 1][j - 1])
             column = [(i, rows[i - 1][j - 1]) for i in range(1, j)]
             mults = [(i, self._lift(-v * inv)) for i, v in column if v]
-            if mults:
-                junk = n if self.p is not None and j < n else None
-                self.batch(j, mults, self.all_rows, junk)
+            junk = n if self.p is not None and j < n else None
+            self.batch(j, mults, self.all_rows, junk)
 
     def clear_diagonal(self) -> None:
         """Sweep a diagonal of units to the identity, two pivots at a time.

@@ -493,6 +493,25 @@ def test_cli_ab_table_rejects_small_dimensions(capsys):
         assert err == f"error: dimension must be at least 2, got {n}\n"
 
 
+def test_word_dimension_below_two_is_a_domain_error():
+    # the dimension is checked before any token, so a bad token does not mask it
+    for n in (1, 0, -2):
+        with pytest.raises(DomainError, match=f"word dimension must be at least 2, got {n}"):
+            parse_word_text("e(1;2)", n)
+
+
+def test_cli_word_dimension_below_two_exits_3(monkeypatch, capsys):
+    for n in ("1", "0", "-2"):
+        err = f"error: word dimension must be at least 2, got {n}\n"
+        assert run(capsys, "rewrite-ab", "--", n, "A") == (3, "", err)
+        # verify reads the dimension from the matrix header: a 1x1 matrix is
+        # refused by the word parser, a header below 1 by the matrix parser
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{n}\n" + "1\n" * (n == "1")))
+        rc, out, err = run(capsys, "verify", "--matrix", "-", "A")
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: word dimension" if n == "1" else "error: matrix dimension")
+
+
 def test_cli_bfs_diameter(capsys):
     rc, out, _ = run(capsys, "bfs-diameter", "3", "2")
     assert rc == 0
@@ -925,3 +944,11 @@ def test_cli_readme_examples_print_what_the_readme_says(capsys):
             assert len(parse_word_text(out, int(argv[1]))) == int(claim[1])
         checked.append(argv[0])
     assert checked == ["compress", "compress", "zeckendorf", "gcd", "gcd", "gcd", "bfs-diameter"]
+
+
+def test_readme_library_example_runs(capsys):
+    # the block asserts its own word evaluates to m, and prints its length
+    block = README.read_text().split("## Library example", 1)[1]
+    source = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(source, str(README), "exec"), {})
+    assert int(capsys.readouterr().out) > 0

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cayleynav.cli import main
-from cayleynav.compression import _batch_letters, _fused_template, compress_power
+from cayleynav.compression import _batch_letters, _fused_template, _gather_letters, compress_power
 from cayleynav.core import (
     MatFp,
     MatZ,
@@ -292,6 +292,42 @@ def test_batch_without_a_free_row_splits_in_two():
             # each half uses the first target of the other half as aux
             assert letters[0] == eletter(second[0], j, -1)
             assert {x for l in letters for x in (l.i, l.j)} <= set(targets) | {j}
+
+
+def common_target(n, k, powers):
+    """The product of e(k, l)^m over (l, m) in powers: the identity with row k raised."""
+    rows = [[int(r == c) for c in range(1, n + 1)] for r in range(1, n + 1)]
+    for l, m in powers:
+        rows[k - 1][l - 1] += m
+    return MatZ.from_rows(rows)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_gather_spells_the_common_target_product(n):
+    rng = random.Random(f"gather:{n}")
+    for trial in range(40):
+        k = rng.randrange(1, n + 1)
+        sources = rng.sample([l for l in range(1, n + 1) if l != k], rng.randrange(1, n))
+        bound = 14 if trial % 4 == 0 else 2 ** rng.choice((8, 30, 70))
+        powers = [(l, rng.choice((1, -1)) * rng.randrange(1, bound + 1)) for l in sources]
+        letters = _gather_letters(k, powers, range(1, n + 1))
+        assert eval_word_z(Word(n, tuple(letters))) == common_target(n, k, powers)
+        singles = sum(len(compress_power(n, k, l, m)) for l, m in powers)
+        assert len(letters) <= singles
+        if all(abs(m) <= 14 for _, m in powers):
+            assert len(letters) == singles
+
+
+def test_gather_without_a_free_aux_splits_in_two():
+    # N = 3, one target and two template sources: every index is busy, so
+    # the batch splits into two templates and costs what two powers cost
+    rng = random.Random("gather:split")
+    for _ in range(30):
+        k, l1, l2 = rng.sample(range(1, 4), 3)
+        powers = [(l, rng.choice((1, -1)) * rng.randrange(15, 2**70)) for l in (l1, l2)]
+        letters = _gather_letters(k, powers, range(1, 4))
+        assert eval_word_z(Word(3, tuple(letters))) == common_target(3, k, powers)
+        assert len(letters) == sum(len(compress_power(3, k, l, m)) for l, m in powers)
 
 
 def reference_spelling(n, i, j, m, aux):
