@@ -1,11 +1,12 @@
 """One row-reduction engine for SL_N(Z) and SL_N(F_p).
 
 RowReducer(rows, p).reduce() is the one door into the engine for both
-rings: the constructor refuses N < 3 with UnsupportedDimensionError,
-reduce refuses a determinant other than 1 (over Z/p, other than 1 mod p)
-with NotInGroupError before any phase runs, and it returns the word with
-its record, a NormalFormResult.  normalform.normal_form_result and
-modp.word_for_modp are that one call.
+rings: the constructor refuses N < 3 with UnsupportedDimensionError and,
+over Z/p, takes the entries mod p; reduce refuses rows that are not N x N
+with DomainError and a determinant other than 1 (over Z/p, other than 1
+mod p) with NotInGroupError before any phase runs, and it returns the
+word with its record, a NormalFormResult.  normalform.normal_form_result
+and modp.word_for_modp are that one call.
 
 A RowReducer holds a working matrix, over Z when p is None and over Z/p
 otherwise, and premultiplies it by elementary words.  Each operation
@@ -26,21 +27,21 @@ check_identity vouches for what they evaluate to.
 Column clearing folds the column into a carrier row by N-ary Euclidean
 rounds (fold, which euclid.accelerated_reduce also runs, on a one-column
 matrix): the smallest nonzero entry divides every other one, all in one
-batch, until a single nonzero entry is left, and a signed swap moves the
-carrier onto the diagonal.  A fold's batches take their aux index from
-the active rows first, then from every other row.  Upper clearing zeroes
-the strict upper triangle one column per batch, dividing out each unit
-pivot.  Over Z it goes right to left, so each source row is already a
-unit row and no entry grows.  Over Z/p it goes left to right: a column
-c < N takes the half walk of each template, which leaves junk multiples
-of row N on the targets, on column N only; column N, cleared last with
-the full template, clears them with the rest.  The diagonal endgame
-sweeps the remaining diagonal of units to the identity with the gadget
-diag(a^-1, a), which over Z has a = -1.  Both rings run the same
-sequence, RowReducer.reduce: clear_column for each column, clear_upper,
-clear_diagonal, check_identity.  Over Z/p the column entries are residues
-in [0, p), so the division runs on integers and the exponents stay below
-p, and upper clearing and the endgame take their exponents in the
+batch, until a single nonzero entry g is left.  Its pivot lands as
+exactly 1: a carrier off the diagonal by two row operations, one on the
+diagonal with g != 1 by the gadget diag(g^-1, g), which hands g to a row
+below.  A fold's batches take their aux index from the active rows
+first, then from every other row.  Upper clearing zeroes the strict
+upper triangle one column per batch.  Over Z it goes right to left, so
+each source row is already a unit row and no entry grows.  Over Z/p it
+goes left to right: a column c < N takes the half walk of each template,
+which leaves junk multiples of row N on the targets, on column N only;
+column N, cleared last with the full template, clears them with the
+rest.  Both rings run the same sequence, RowReducer.reduce: clear_column
+for columns 1..N-1, clear_upper, check_identity; the last pivot is 1
+because the determinant is.  Over Z/p the column entries are residues in
+[0, p), so the division runs on integers and the exponents stay below p,
+and the landing moves and upper clearing take their exponents in the
 least-absolute window (-p/2, p/2].
 
 Over Z, reduce first runs lll, an integral LLL reduction of the rows
@@ -53,8 +54,8 @@ Without it, clearing column c can square the magnitudes so far.  lll runs
 on a virtual order of the rows: a swap exchanges two positions of a
 permutation (Cohen's unsigned SWAPI), moves no row and emits no letter,
 and each run of size reductions on one row is one common-target batch.
-The reduced rows stay where they are, and column clearing moves each
-carrier onto the diagonal with at most N - 1 signed swaps.
+The reduced rows stay where they are, and column clearing lands each
+carrier on the diagonal.
 """
 
 from collections import namedtuple
@@ -62,7 +63,7 @@ from collections import namedtuple
 from . import core
 from .compression import _batch_letters, _gather_letters
 from .core import Word, _word, inverse_mod, least_abs_residue
-from .errors import InternalStateError, NotInGroupError, UnsupportedDimensionError
+from .errors import DomainError, InternalStateError, NotInGroupError, UnsupportedDimensionError
 
 
 class NormalFormResult(namedtuple("NormalFormResult", "word phase_lengths column_norms peak_norm")):
@@ -70,7 +71,7 @@ class NormalFormResult(namedtuple("NormalFormResult", "word phase_lengths column
 
     phase_lengths counts letters as (column, sign, upper): column clearing,
     which counts the LLL letters too because reduce runs LLL first, the
-    diagonal endgame, which runs last but is counted second, and upper
+    diag(g^-1, g) gadgets column clearing runs in place, and upper
     clearing.  column_norms and peak_norm are RowReducer.norms and
     RowReducer.peak: the sup norm of the input and after each cleared
     column, and the largest |entry| met, the input included, after any row
@@ -92,30 +93,36 @@ class RowReducer:
     peak starts at the sup norm of the input and takes the new row of every
     row operation into account; a compressed batch is one operation per
     target row, and a signed swap is three.  norms lists the sup norm at the
-    start and after each column.
+    start and after each column, and sign_letters counts the letters of the
+    gadgets clear_column runs.
     """
 
-    __slots__ = ("n", "p", "rows", "out", "peak", "norms", "all_rows")
+    __slots__ = ("n", "p", "rows", "out", "sign_letters", "peak", "norms", "all_rows")
 
     def __init__(self, rows: list[list[int]], p: int | None = None):
         self.n = len(rows)
         if self.n < 3:
             raise UnsupportedDimensionError(f"row reduction needs dimension >= 3, got {self.n}")
         self.p = p
-        self.rows = rows
+        self.rows = rows if p is None else [[x % p for x in row] for row in rows]
         self.out: list = []
-        self.peak = max(abs(x) for row in rows for x in row)
+        self.sign_letters = 0
+        self.peak = max(abs(x) for row in self.rows for x in row)
         self.norms = [self.peak]
         self.all_rows = range(1, self.n + 1)
 
     def reduce(self) -> NormalFormResult:
-        """Check det 1, then lll, clear_column for columns 1..N-1, clear_upper, clear_diagonal.
+        """Check the shape and det 1, then lll, clear_column for columns 1..N-1, clear_upper.
 
-        The rows must have determinant 1, over Z/p 1 mod p, or NotInGroupError
-        is raised before any phase; N >= 3 was checked at construction.  lll
-        runs over Z when some entry below the diagonal is nonzero, and
-        check_identity closes the run.  Returns the word with its record.
+        The rows must be N x N, or DomainError is raised, and have
+        determinant 1, over Z/p 1 mod p, or NotInGroupError is raised, both
+        before any phase; N >= 3 was checked at construction.  lll runs over
+        Z when some entry below the diagonal is nonzero, and check_identity
+        closes the run.  Returns the word with its record.
         """
+        n, rows = self.n, self.rows
+        if any(len(row) != n for row in rows):
+            raise DomainError(f"need {n} x {n} rows, got row lengths {[len(row) for row in rows]}")
         # the reducer holds n, rows and p, which is all the determinants
         # read; they are looked up in core at each call, so a tool that
         # has wrapped them there sees the call
@@ -123,20 +130,15 @@ class RowReducer:
         if det != 1:
             ring = "" if self.p is None else f" mod {self.p}"
             raise NotInGroupError(f"determinant is {det}{ring}, not 1")
-        if self.p is None and any(self.rows[r][c] for r in range(1, self.n) for c in range(r)):
+        if self.p is None and any(rows[r][c] for r in range(1, n) for c in range(r)):
             self.lll()
-        for col in range(1, self.n):
+        for col in range(1, n):
             self.clear_column(col)
         n1 = len(self.out)
         self.clear_upper()
-        n2 = len(self.out)
-        self.clear_diagonal()
         self.check_identity()
-        phases = (n1, len(self.out) - n2, n2 - n1)
-        return NormalFormResult(_word(self.n, tuple(self.out)), phases, tuple(self.norms), self.peak)
-
-    def _is_unit(self, v: int) -> bool:
-        return v in (1, -1) if self.p is None else v != 0
+        phases = (n1 - self.sign_letters, self.sign_letters, len(self.out) - n1)
+        return NormalFormResult(_word(n, tuple(self.out)), phases, tuple(self.norms), self.peak)
 
     def batch(self, j: int, mults, pool, junk: int | None = None) -> None:
         """row_i += q * row_j for every (i, q) in mults, as one batch.
@@ -275,21 +277,40 @@ class RowReducer:
             moves += [(a, source, q) for a, q in mults]
 
     def clear_column(self, col: int) -> None:
-        """Zero column col below the diagonal, leaving a unit pivot at (col, col)."""
+        """Zero column col below the diagonal and land its pivot as 1.
+
+        fold leaves the gcd g, a unit, in a carrier row c.  If c != col, two
+        row operations land it on the diagonal as 1: row_col += g^-1 row_c,
+        then row_c -= g row_col.  If c = col and g != 1, the gadget
+        diag(g^-1, g) moves g to row r, the next row below col whose
+        diagonal entry is not 1, or row N if there is none: the signed swap,
+        then row_r += g row_col, row_col -= g^-1 row_r, row_r += g row_col.
+        Over Z, g = -1 is its own inverse.  sign_letters counts the gadget
+        letters.
+        """
         n, rows = self.n, self.rows
         for d in range(col - 1):
-            if not self._is_unit(rows[d][d]):
-                raise InternalStateError(f"pivot at column {d + 1} is {rows[d][d]}, not a unit")
+            if rows[d][d] != 1:
+                raise InternalStateError(f"pivot at column {d + 1} is {rows[d][d]}, not 1")
             if any(rows[r][d] != 0 for r in range(d + 1, n)):
                 raise InternalStateError(f"column {d + 1} is not cleared below the diagonal")
         if all(rows[r][col - 1] == 0 for r in range(col - 1, n)):
             raise InternalStateError(f"column {col} is zero at and below the diagonal")
         carrier, _ = self.fold(col, range(col, n + 1))
+        g = rows[carrier - 1][col - 1]
+        if self.p is None and g not in (1, -1):
+            raise InternalStateError(f"gcd of column {col} is {g}, matrix is not unimodular")
         if carrier != col:
-            self.swap(col, carrier)
-        pivot = rows[col - 1][col - 1]
-        if not self._is_unit(pivot):
-            raise InternalStateError(f"gcd of column {col} is {pivot}, matrix is not unimodular")
+            self.add(col, carrier, self._lift(self._inverse(g)))
+            self.add(carrier, col, self._lift(-g))
+        elif g != 1:
+            r = next((r for r in range(col + 1, n + 1) if rows[r - 1][r - 1] != 1), n)
+            start, q = len(self.out), self._lift(g)
+            self.swap(col, r)
+            self.add(r, col, q)
+            self.add(col, r, self._lift(-self._inverse(g)))
+            self.add(r, col, q)
+            self.sign_letters += len(self.out) - start
         if self.p is None:
             self.norms.append(max(abs(x) for row in rows for x in row))
 
@@ -300,53 +321,25 @@ class RowReducer:
         return u if self.p is None else inverse_mod(u, self.p)
 
     def clear_upper(self) -> None:
-        """Zero the strict upper triangle, one batch per column.
+        """Zero the strict upper triangle above pivots of 1, one batch per column.
 
         Column j is one batch with source j, its aux drawn from all rows.
-        Every pivot must be a unit; it is divided out of the exponent and
-        stays on the diagonal for clear_diagonal.  Over Z the columns go
-        right to left: row j is then zero right of its pivot, so every
-        quotient is an entry and no entry grows.  Over Z/p they go left to
-        right, and every column j < N takes the half walks with junk
-        column N: row N is zero left of column N, so the junk moves no
-        cleared entry, and column N, cleared last with the full template,
-        clears the junk with the rest.
+        Every pivot must be 1, so each exponent is the negated entry.  Over
+        Z the columns go right to left: row j is then zero right of its
+        pivot, so every quotient is an entry and no entry grows.  Over Z/p
+        they go left to right, and every column j < N takes the half walks
+        with junk column N: row N is zero left of column N, so the junk
+        moves no cleared entry, and column N, cleared last with the full
+        template, clears the junk with the rest.
         """
         n, rows = self.n, self.rows
         for r in range(n):
-            if any(rows[r][:r]) or not self._is_unit(rows[r][r]):
-                raise InternalStateError("matrix is not upper triangular with unit pivots")
+            if any(rows[r][:r]) or rows[r][r] != 1:
+                raise InternalStateError("matrix is not upper triangular with pivots of 1")
         for j in range(n, 1, -1) if self.p is None else range(2, n + 1):
-            inv = self._inverse(rows[j - 1][j - 1])
-            column = [(i, rows[i - 1][j - 1]) for i in range(1, j)]
-            mults = [(i, self._lift(-v * inv)) for i, v in column if v]
+            mults = [(i, self._lift(-rows[i - 1][j - 1])) for i in range(1, j) if rows[i - 1][j - 1]]
             junk = n if self.p is not None and j < n else None
             self.batch(j, mults, self.all_rows, junk)
-
-    def clear_diagonal(self) -> None:
-        """Sweep a diagonal of units to the identity, two pivots at a time.
-
-        A pivot a != 1 at i is paired with the next pivot != 1 at j, and rows
-        (i, j) are premultiplied by diag(a^-1, a): the signed swap, then
-        row_j += a row_i, row_i -= a^-1 row_j, row_j += a row_i.  Pivot i
-        becomes 1 and pivot j absorbs a.  Over Z, a = -1 is its own inverse.
-        """
-        n, rows = self.n, self.rows
-        for r in range(n):
-            if any(rows[r][c] for c in range(n) if c != r) or not self._is_unit(rows[r][r]):
-                raise InternalStateError("matrix is not diagonal with unit pivots")
-        for i in range(1, n + 1):
-            a = rows[i - 1][i - 1]
-            if a == 1:
-                continue
-            j = next((j for j in range(i + 1, n + 1) if rows[j - 1][j - 1] != 1), None)
-            if j is None:
-                raise InternalStateError(f"pivot {a} at {i} has no partner, determinant is not 1")
-            q = self._lift(a)
-            self.swap(i, j)
-            self.add(j, i, q)
-            self.add(i, j, self._lift(-self._inverse(a)))
-            self.add(j, i, q)
 
     def check_identity(self) -> None:
         n, rows = self.n, self.rows

@@ -327,16 +327,17 @@ def test_cli_normal_form_json(tmp_path, capsys):
 
 
 def test_cli_normal_form_json_reports_the_phases(tmp_path, capsys):
-    # LLL reorders these rows for free: one size reduction, then a carrier
-    # swap and the endgame, and no entry ever exceeds 1
+    # LLL reorders these rows for free: one size reduction, then two row
+    # operations land column 2's carrier as 1 and one letter clears the
+    # upper triangle; no entry ever exceeds 1
     m = MatZ.from_rows([[1, 1, 0], [0, 0, 1], [0, -1, 0]])
     path = tmp_path / "m.txt"
     path.write_text(matrix_text(m))
     rc, out, _ = run(capsys, "normal-form", "--json", str(path))
     payload = json.loads(out)
     assert rc == 0
-    assert (payload["phase_lengths"], payload["column_norms"]) == ([4, 6, 0], [1, 1, 1])
-    assert payload["length"] == len(payload["word"]["letters"]) == 10
+    assert (payload["phase_lengths"], payload["column_norms"]) == ([3, 0, 1], [1, 1, 1])
+    assert payload["length"] == len(payload["word"]["letters"]) == 4
     assert eval_word_z(word_of(payload["word"])) == m
 
 
@@ -452,9 +453,9 @@ def test_cli_fp_report_json(capsys):
         "order": 168,
         "mode": "exhaustive",
         "count": 168,
-        "max_length": 10,
-        "mean_length": 812 / 168,
-        "normalized_max": 10 / norm,
+        "max_length": 8,
+        "mean_length": 684 / 168,
+        "normalized_max": 8 / norm,
         "bound": 12.0 * norm,
         "c_const": 12.0,
         "seed": None,

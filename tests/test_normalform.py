@@ -64,9 +64,10 @@ def test_column_clear_is_a_premultiplier():
     m = MatZ.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     out, w = run_phase(m, RowReducer.clear_column, 1)
     assert eval_word_z(w) * m == out
-    # pivot row swapped up, displaced row negated
-    assert out.rows == ((1, 0, 0), (0, 0, -1), (0, 1, 0))
-    assert w.tokens() == "e(1,2) e(2,1)^-1 e(1,2)"
+    # the carrier lands on the diagonal as 1 by two row operations,
+    # row_1 += row_2, then row_2 -= row_1, not by a signed swap
+    assert out.rows == ((1, 0, 1), (0, 0, -1), (0, 1, 0))
+    assert w.tokens() == "e(2,1)^-1 e(1,2)"
 
 
 def test_column_clear_random_columns():
@@ -113,33 +114,19 @@ def test_sign_fix_pairs_of_negative_pivots():
         [[int(r == c) * (-1 if r in (1, 4) else 1) for c in range(5)] for r in range(5)],
     ]
     for rows in cases:
-        out, w = run_phase(MatZ.from_rows(rows), RowReducer.clear_diagonal)
-        assert out == MatZ.identity(len(rows))
-        assert len(w) == 6
-        assert eval_word_z(w) * MatZ.from_rows(rows) == out
+        m = MatZ.from_rows(rows)
+        r = normal_form_result(m)
+        assert len(r.word) == 6 and r.phase_lengths == (0, 6, 0)
+        assert eval_word_z(r.word) == m
 
 
 def test_sign_fix_negates_whole_rows():
-    # the gadget diag(a^-1, a) at a = -1: a signed swap, then e(2,1)^-1 e(1,2) e(2,1)^-1
+    # the gadget diag(a^-1, a) at a = -1, run by column 1 in place: a signed
+    # swap, then e(2,1)^-1 e(1,2) e(2,1)^-1; the word is its inverse
     m = MatZ.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    out, w = run_phase(m, RowReducer.clear_diagonal)
-    assert out == MatZ.identity(3)
-    assert w.tokens() == "e(2,1)^-1 e(1,2) e(2,1)^-1 e(1,2) e(2,1)^-1 e(1,2)"
-    assert eval_word_z(w) * m == out
-
-
-def test_sign_fix_preconditions():
-    with pytest.raises(InternalStateError, match="not diagonal"):
-        run_phase(MatZ.from_rows([[1, 0, 0], [2, 1, 0], [0, 0, 1]]), RowReducer.clear_diagonal)
-    with pytest.raises(InternalStateError, match="not diagonal"):
-        run_phase(MatZ.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 1]]), RowReducer.clear_diagonal)
-    with pytest.raises(InternalStateError, match="not diagonal"):
-        run_phase(MatZ.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), RowReducer.clear_diagonal)
-    # a lone -1 pivot cannot happen for determinant one input
-    for k in range(3):
-        rows = [[int(r == c) * (-1 if r == k else 1) for c in range(3)] for r in range(3)]
-        with pytest.raises(InternalStateError, match=f"pivot -1 at {k + 1} has no partner"):
-            run_phase(MatZ.from_rows(rows), RowReducer.clear_diagonal)
+    w = normal_form(m)
+    assert w.inverse().tokens() == "e(2,1)^-1 e(1,2) e(2,1)^-1 e(1,2) e(2,1)^-1 e(1,2)"
+    assert eval_word_z(w) == m
 
 
 def test_upper_clear_compresses_big_entries():
@@ -150,11 +137,11 @@ def test_upper_clear_compresses_big_entries():
     assert eval_word_z(w) * m == MatZ.identity(3)
 
 
-def test_upper_clear_keeps_negative_pivots():
-    m = MatZ.from_rows([[1, 2, 7], [0, -1, 3], [0, 0, -1]])
-    out, w = run_phase(m, RowReducer.clear_upper)
-    assert out.rows == ((1, 0, 0), (0, -1, 0), (0, 0, -1))
-    assert eval_word_z(w) * m == out
+def test_upper_clear_refuses_pivots_other_than_one():
+    # column clearing lands every pivot as 1, so upper clearing divides none out
+    for rows in ([[1, 2, 7], [0, -1, 3], [0, 0, -1]], [[-1, 2, 7], [0, 1, 3], [0, 0, -1]]):
+        with pytest.raises(InternalStateError, match="pivots of 1"):
+            run_phase(MatZ.from_rows(rows), RowReducer.clear_upper)
 
 
 def test_upper_clear_over_z_goes_right_to_left():

@@ -6,6 +6,7 @@ import pytest
 
 import cayleynav
 from cayleynav import abwords, bfs, compression, core, euclid, formats, modp, normalform
+from cayleynav.rowreduce import RowReducer
 
 PUBLIC = {
     # the pipeline: letters, words, matrices, builders, evaluators, oracles
@@ -69,6 +70,7 @@ def test_public_surface():
         (compression, "compress_power_modp"),
         (formats, "format_word_text"),
         (core, "mat_z_mod"),
+        (RowReducer, "clear_diagonal"),
     ):
         assert not hasattr(module, name), name
 

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from cayleynav.compression import _batch_letters, compress_power
-from cayleynav.core import MatZ, Word, eletter, eval_word_fp, eval_word_z, least_abs_residue
-from cayleynav.errors import NotInGroupError, UnsupportedDimensionError
+from cayleynav.core import MatFp, MatZ, Word, eletter, eval_word_fp, eval_word_z, least_abs_residue
+from cayleynav.errors import DomainError, NotInGroupError, UnsupportedDimensionError
 from cayleynav.modp import random_sl_fp
 from cayleynav.rowreduce import RowReducer
 
@@ -15,7 +15,8 @@ def by_hand(red, sup):
     """The phase sequence spelled out step by step, with the sup norms kept aside.
 
     sup is the sup norm of the input, before any pre-reduction.  LLL runs
-    over Z when some entry below the diagonal is nonzero.
+    over Z when some entry below the diagonal is nonzero.  The letters of
+    the gadgets that column clearing runs in place are counted in red.sign_letters.
     """
     norms = [sup]
     if red.p is None and any(red.rows[r][c] for r in range(red.n) for c in range(r)):
@@ -26,10 +27,8 @@ def by_hand(red, sup):
             norms.append(max(abs(x) for row in red.rows for x in row))
     n1 = len(red.out)
     red.clear_upper()
-    n2 = len(red.out)
-    red.clear_diagonal()
     red.check_identity()
-    return (n1, len(red.out) - n2, n2 - n1), norms
+    return (n1 - red.sign_letters, red.sign_letters, len(red.out) - n1), norms
 
 
 @pytest.mark.parametrize("p", [None, "upper", 2, 7, 2**31 - 1])
@@ -85,12 +84,10 @@ def upper_triangular(n, p, rng, cols):
 
 
 def upper_powers(rows, col, p):
-    """The batch (i, m) that clears column col of unit upper triangular rows."""
-    pivot = rows[col - 1][col - 1]
-    inv = pivot if p is None else pow(pivot, -1, p)
+    """The batch (i, m) that clears column col of upper triangular rows with pivots of 1."""
     powers = []
     for i in range(1, col):
-        q = -rows[i - 1][col - 1] * inv
+        q = -rows[i - 1][col - 1]
         q = q if p is None else least_abs_residue(q, p)
         if q:
             powers.append((i, -q))
@@ -103,6 +100,8 @@ def test_clear_upper_takes_the_half_walk_only_over_fp_before_column_n(p):
     for n in (3, 4, 5, 6):
         for col in range(2, n + 1):
             rows = upper_triangular(n, p, rng, [col])
+            for r in range(n):
+                rows[r][r] = 1  # clear_upper takes pivots of 1
             red = RowReducer(copy.deepcopy(rows), p)
             red.clear_upper()
             assert all(red.rows[r][c] == 0 for r in range(n) for c in range(r + 1, n))
@@ -113,10 +112,10 @@ def test_clear_upper_takes_the_half_walk_only_over_fp_before_column_n(p):
                 continue
             half, moved = _batch_letters(col, powers, range(1, n + 1), n)
             assert len(half) <= len(full) and red.out[: len(half)] == half
-            # the junk lands on column n, times its pivot, which column n then
-            # clears with the full template
+            # the junk lands on column n, which column n then clears with the
+            # full template
             for i, x in moved:
-                rows[i - 1][n - 1] = (rows[i - 1][n - 1] - x * rows[n - 1][n - 1]) % p
+                rows[i - 1][n - 1] = (rows[i - 1][n - 1] - x) % p
             assert red.out[len(half) :] == _batch_letters(n, upper_powers(rows, n, p), range(1, n + 1))[0]
 
 
@@ -140,6 +139,52 @@ def test_reduce_is_the_one_door(p):
         with pytest.raises(NotInGroupError, match=f"determinant is {det}{ring}, not 1"):
             red.reduce()
         assert red.out == [] and red.rows == rows
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_reduce_refuses_rows_that_are_not_square(p):
+    # a typed error before any phase, nothing emitted and no row touched;
+    # the constructor still takes euclid's one-column matrix
+    for rows in ([[1, 0], [0, 1], [1, 1]], [[1], [2], [3]], [[1, 0, 0], [0, 1, 0], [0, 0, 1, 5]]):
+        red = RowReducer(copy.deepcopy(rows), p)
+        with pytest.raises(DomainError, match="need 3 x 3 rows"):
+            red.reduce()
+        assert red.out == [] and red.rows == rows
+
+
+def test_reduce_takes_entries_mod_p():
+    # 8 and -6 are 1 mod 7: an element of SL_3(F_7), the identity
+    for a in (8, -6):
+        rows = [[a, 0, 0], [0, 1, 0], [0, 0, 1]]
+        word = RowReducer(copy.deepcopy(rows), 7).reduce().word
+        assert eval_word_fp(word, 7) == MatFp.from_rows(rows, 7)
+
+
+@pytest.mark.parametrize("p", [None, 2, 7, 10007])
+def test_the_record_adds_up_in_both_rings(p):
+    # over Z, inputs times a diagonal of signs, so column clearing runs
+    # sign gadgets of 6 letters each
+    rng = random.Random(f"record:{p}")
+    signs = 0
+    for n in (3, 4, 5, 6):
+        for _ in range(8):
+            if p is None:
+                pairs = (rng.sample(range(1, n + 1), 2) for _ in range(10 * n))
+                m = eval_word_z(Word(n, tuple(eletter(i, j, rng.choice((1, -1))) for i, j in pairs)))
+                flips = rng.sample(range(n), 2 * rng.randrange(n // 2 + 1))
+                m = MatZ.from_rows([[-x if r in flips else x for x in row] for r, row in enumerate(m.rows)])
+            else:
+                m = random_sl_fp(n, p, rng)
+            r = RowReducer([list(row) for row in m.rows], p).reduce()
+            assert sum(r.phase_lengths) == len(r.word)
+            if p is None:
+                assert r.phase_lengths[1] % 6 == 0
+                assert eval_word_z(r.word) == m
+            else:
+                assert eval_word_fp(r.word, p) == m
+            signs += r.phase_lengths[1]
+    # over F_2 every nonzero entry is 1, so no gadget runs
+    assert (signs > 0) == (p != 2)
 
 
 def test_lll_refuses_dependent_rows():
