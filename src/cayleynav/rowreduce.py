@@ -24,25 +24,34 @@ and LLL's common-target runs by _gather_letters.  The letters are valid
 by construction, so reduce wraps the output with core._word, and
 check_identity vouches for what they evaluate to.
 
-Column clearing folds the column into a carrier row by N-ary Euclidean
-rounds (fold, which euclid.accelerated_reduce also runs, on a one-column
-matrix): the smallest nonzero entry divides every other one, all in one
-batch, until a single nonzero entry g is left.  Its pivot lands as
-exactly 1: a carrier off the diagonal by two row operations, one on the
-diagonal with g != 1 by the gadget diag(g^-1, g), which hands g to a row
-below.  A fold's batches take their aux index from the active rows
-first, then from every other row.  Upper clearing zeroes the strict
-upper triangle one column per batch.  Over Z it goes right to left, so
-each source row is already a unit row and no entry grows.  Over Z/p it
-goes left to right: a column c < N takes the half walk of each template,
-which leaves junk multiples of row N on the targets, on column N only;
-column N, cleared last with the full template, clears them with the
-rest.  Both rings run the same sequence, RowReducer.reduce: clear_column
-for columns 1..N-1, clear_upper, check_identity; the last pivot is 1
-because the determinant is.  Over Z/p the column entries are residues in
-[0, p), so the division runs on integers and the exponents stay below p,
-and the landing moves and upper clearing take their exponents in the
-least-absolute window (-p/2, p/2].
+Over Z, column clearing folds the column into a carrier row by N-ary
+Euclidean rounds (fold, which euclid.accelerated_reduce also runs, on a
+one-column matrix): the smallest nonzero entry divides every other one,
+all in one batch, until a single nonzero entry g = +-1 is left.  Its pivot
+lands as exactly 1: a carrier off the diagonal by two row operations, one
+on the diagonal with g = -1 by the gadget diag(g^-1, g), which hands g to
+a row below.  A fold's batches take their aux index from the active rows
+first, then from every other row.  Upper clearing then zeroes the strict
+upper triangle one column per batch, right to left, so each source row is
+already a unit row and no entry grows.
+
+Over Z/p, column clearing is Gauss-Jordan elimination, one batch per
+column.  Every nonzero entry is a unit, so two rows are enough: the
+floor Euclid on a coprime pair of integer lifts (a_s, a_t + k p) leaves 1
+in a carrier row c and 0 in a row z.  One batch against row c then clears
+the column above and below, with the half walk of each template
+(compression._batch_letters) and z as junk row: z is zero on every
+column cleared so far and on this one, so the junk lands only on columns
+not yet cleared.  A carrier off the diagonal lands last, in two letters.
+For p <= 3, and for a lone entry that a pair does not make shorter, fold
+and the landing run as over Z, and the batch takes row N as junk.
+Each column is then the unit column, so upper clearing is column N
+alone, with the full template, which also clears the junk left there.
+Both rings run the same sequence, RowReducer.reduce: clear_column for
+columns 1..N-1, clear_upper, check_identity; the last pivot is 1 because
+the determinant is.  Over Z/p the entries are residues in [0, p), so the
+division runs on integers and the exponents stay below p, and the row
+operations take their exponents in the least-absolute window (-p/2, p/2].
 
 Over Z, reduce first runs lll, an integral LLL reduction of the rows
 (Lenstra, Lenstra and Lovasz, Math. Ann. 261 (1982); Cohen, A Course in
@@ -59,9 +68,10 @@ carrier on the diagonal.
 """
 
 from collections import namedtuple
+from math import gcd
 
 from . import core
-from .compression import _batch_letters, _gather_letters
+from .compression import _PLAIN_MAX, _batch_letters, _gather_letters
 from .core import Word, _word, inverse_mod, least_abs_residue
 from .errors import DomainError, InternalStateError, NotInGroupError, UnsupportedDimensionError
 
@@ -72,7 +82,9 @@ class NormalFormResult(namedtuple("NormalFormResult", "word phase_lengths column
     phase_lengths counts letters as (column, sign, upper): column clearing,
     which counts the LLL letters too because reduce runs LLL first, the
     diag(g^-1, g) gadgets column clearing runs in place, and upper
-    clearing.  column_norms and peak_norm are RowReducer.norms and
+    clearing.  Over Z/p column clearing is Gauss-Jordan, so the column
+    count holds the rows above the diagonal in columns 1..N-1 too, and the
+    upper count is column N alone.  column_norms and peak_norm are RowReducer.norms and
     RowReducer.peak: the sup norm of the input and after each cleared
     column, and the largest |entry| met, the input included, after any row
     operation.  Over Z/p neither is tracked: both hold only the input's
@@ -277,32 +289,70 @@ class RowReducer:
             moves += [(a, source, q) for a, q in mults]
 
     def clear_column(self, col: int) -> None:
-        """Zero column col below the diagonal and land its pivot as 1.
+        """Clear column col to a pivot of 1: over Z below the diagonal, over Z/p whole.
 
-        fold leaves the gcd g, a unit, in a carrier row c.  If c != col, two
-        row operations land it on the diagonal as 1: row_col += g^-1 row_c,
-        then row_c -= g row_col.  If c = col and g != 1, the gadget
-        diag(g^-1, g) moves g to row r, the next row below col whose
-        diagonal entry is not 1, or row N if there is none: the signed swap,
-        then row_r += g row_col, row_col -= g^-1 row_r, row_r += g row_col.
-        Over Z, g = -1 is its own inverse.  sign_letters counts the gadget
-        letters.
+        Over Z, fold leaves the gcd g = +-1 in a carrier row, and _land puts
+        the pivot 1 on the diagonal.  Over Z/p with p > 3, two rows run the
+        Euclid: the first two or more live entries at or below the
+        diagonal and its cheapest partner (_pair), or a lone entry and a
+        zero partner when that is shorter than _land (_lone_pair).  It
+        leaves 1 in a carrier row c and 0 in the other row, z.  Otherwise,
+        and always for p <= 3, fold and _land run as over Z, with c = col
+        and z = N.  Then one batch against row c clears every other row,
+        above and below, with the half walk and junk row z, which is zero
+        on columns 1..col.  A carrier off the diagonal lands last, in two
+        letters: row_col += row_c, then row_c -= row_col.  Column col is
+        then the unit column e_col: the Gauss-Jordan invariant, which the
+        next column checks.
         """
-        n, rows = self.n, self.rows
+        n, rows, p = self.n, self.rows, self.p
         for d in range(col - 1):
             if rows[d][d] != 1:
                 raise InternalStateError(f"pivot at column {d + 1} is {rows[d][d]}, not 1")
-            if any(rows[r][d] != 0 for r in range(d + 1, n)):
-                raise InternalStateError(f"column {d + 1} is not cleared below the diagonal")
+            if any(rows[r][d] != 0 for r in (range(d + 1, n) if p is None else range(n)) if r != d):
+                raise InternalStateError(f"column {d + 1} is not cleared")
         if all(rows[r][col - 1] == 0 for r in range(col - 1, n)):
             raise InternalStateError(f"column {col} is zero at and below the diagonal")
-        carrier, _ = self.fold(col, range(col, n + 1))
-        g = rows[carrier - 1][col - 1]
-        if self.p is None and g not in (1, -1):
-            raise InternalStateError(f"gcd of column {col} is {g}, matrix is not unimodular")
+        if p is None:
+            carrier, _ = self.fold(col, range(col, n + 1))
+            g = rows[carrier - 1][col - 1]
+            if g not in (1, -1):
+                raise InternalStateError(f"gcd of column {col} is {g}, matrix is not unimodular")
+            self._land(col, carrier, g)
+            self.norms.append(max(abs(x) for row in rows for x in row))
+            return
+        live = [r for r in range(col, n + 1) if rows[r - 1][col - 1]]
+        pair = None
+        if p > 3:
+            pair = self._pair(col, live) if len(live) > 1 else self._lone_pair(col, live[0])
+        if pair is None:
+            carrier, _ = self.fold(col, range(col, n + 1))
+            self._land(col, carrier, rows[carrier - 1][col - 1])
+            carrier, junk = col, n
+        else:
+            moves, carrier, junk = pair
+            for i, j, q in moves:
+                self.add(i, j, self._lift(-q))
+        self._clear(col, carrier, junk)
         if carrier != col:
-            self.add(col, carrier, self._lift(self._inverse(g)))
-            self.add(carrier, col, self._lift(-g))
+            self.add(col, carrier, 1)
+            self.add(carrier, col, -1)
+
+    def _land(self, col: int, c: int, g: int) -> None:
+        """Land the lone entry g of column col, in row c, as a pivot of 1 on the diagonal.
+
+        If c != col, two row operations: row_col += g^-1 row_c, then
+        row_c -= g row_col.  If c = col and g != 1, the gadget
+        diag(g^-1, g) moves g to row r, the next row below col whose
+        diagonal entry is not 1, or row N if there is none: the signed
+        swap, then row_r += g row_col, row_col -= g^-1 row_r, row_r +=
+        g row_col.  Over Z, g = -1 is its own inverse.  sign_letters counts
+        the gadget letters.
+        """
+        n, rows = self.n, self.rows
+        if c != col:
+            self.add(col, c, self._lift(self._inverse(g)))
+            self.add(c, col, self._lift(-g))
         elif g != 1:
             r = next((r for r in range(col + 1, n + 1) if rows[r - 1][r - 1] != 1), n)
             start, q = len(self.out), self._lift(g)
@@ -311,8 +361,62 @@ class RowReducer:
             self.add(col, r, self._lift(-self._inverse(g)))
             self.add(r, col, q)
             self.sign_letters += len(self.out) - start
-        if self.p is None:
-            self.norms.append(max(abs(x) for row in rows for x in row))
+
+    def _pair(self, col: int, live: list[int]) -> tuple[list, int, int]:
+        """The cheapest two-row Euclid on column col, as _euclid returns it.
+
+        s is the first live row.  Each other live row t takes the smallest
+        k >= 0 with gcd(a_s, a_t + k p) = 1 and is priced cheaply, as
+        3 k plus q for each Euclid quotient q <= 14 and 8 + 3 bitlength(q)
+        for a larger one; the cheapest t wins, the first on ties.
+        """
+        rows, p, c = self.rows, self.p, col - 1
+        s, x, best = live[0], rows[live[0] - 1][c], None
+        for t in live[1:]:
+            y, price = rows[t - 1][c], 0
+            while gcd(x, y) != 1:
+                y, price = y + p, price + 3
+            pair = _euclid(s, t, x, y)
+            price += sum(q if q <= _PLAIN_MAX else 8 + 3 * q.bit_length() for _, _, q in pair[0])
+            if best is None or price < best[0]:
+                best = (price, pair)
+        return best[1]
+
+    def _lone_pair(self, col: int, c: int) -> tuple[list, int, int] | None:
+        """The Euclid of a lone entry g with a zero partner lifted to p, if shorter than _land.
+
+        Only g != 1 in a row that is nonzero right of col qualifies: on a
+        diagonal row the gadget hands g on to a later pivot, which a pair
+        cannot.  The partner is row col, or row col + 1 when c = col.  Both
+        options are priced exactly by the letters of their row operations,
+        the pair with two landing letters when its carrier is off the
+        diagonal.  Returns what _euclid does, or None to run _land.
+        """
+        g = self.rows[c - 1][col - 1]
+        if g == 1 or not any(self.rows[c - 1][col:]):
+            return None
+        if c != col:
+            land = self._cost(self._inverse(g)) + self._cost(-g)
+        else:
+            land = 3 + 2 * self._cost(g) + self._cost(-self._inverse(g))
+        pair = _euclid(c, col if c != col else col + 1, g, self.p)
+        moves, carrier, _ = pair
+        cost = sum(self._cost(-q) for _, _, q in moves) + 2 * (carrier != col)
+        return pair if cost < land else None
+
+    def _cost(self, q: int) -> int:
+        """Letters of one row operation with exponent q."""
+        return len(_batch_letters(2, ((1, self._lift(q)),), self.all_rows)[0])
+
+    def _clear(self, col: int, c: int, junk: int | None = None) -> None:
+        """Clear column col against row c, whose entry there is 1, in one batch.
+
+        Every other row i with a nonzero entry a_i takes row_i -= a_i row_c,
+        with the half walk and junk row junk when one is given.
+        """
+        rows = self.rows
+        mults = [(i, self._lift(-rows[i - 1][col - 1])) for i in self.all_rows if i != c and rows[i - 1][col - 1]]
+        self.batch(c, mults, self.all_rows, junk)
 
     def _lift(self, v: int) -> int:
         return v if self.p is None else least_abs_residue(v, self.p)
@@ -327,21 +431,37 @@ class RowReducer:
         Every pivot must be 1, so each exponent is the negated entry.  Over
         Z the columns go right to left: row j is then zero right of its
         pivot, so every quotient is an entry and no entry grows.  Over Z/p
-        they go left to right, and every column j < N takes the half walks
-        with junk column N: row N is zero left of column N, so the junk
-        moves no cleared entry, and column N, cleared last with the full
-        template, clears the junk with the rest.
+        clear_column has already cleared columns 1..N-1 above the diagonal,
+        and only column N is left: one batch with the full template, which
+        also clears the junk the half walks left there.
         """
         n, rows = self.n, self.rows
         for r in range(n):
             if any(rows[r][:r]) or rows[r][r] != 1:
                 raise InternalStateError("matrix is not upper triangular with pivots of 1")
-        for j in range(n, 1, -1) if self.p is None else range(2, n + 1):
-            mults = [(i, self._lift(-rows[i - 1][j - 1])) for i in range(1, j) if rows[i - 1][j - 1]]
-            junk = n if self.p is not None and j < n else None
-            self.batch(j, mults, self.all_rows, junk)
+            if self.p is not None and any(rows[r][r + 1 : n - 1]):
+                raise InternalStateError("columns 1..N-1 are not cleared above the diagonal")
+        for j in range(n, 1, -1) if self.p is None else (n,):
+            self._clear(j, j)
 
     def check_identity(self) -> None:
         n, rows = self.n, self.rows
         if any(rows[r][c] != (1 if r == c else 0) for r in range(n) for c in range(n)):
             raise InternalStateError("reduction did not reach the identity")
+
+
+def _euclid(s: int, t: int, x: int, y: int) -> tuple[list[tuple[int, int, int]], int, int]:
+    """The floor Euclid on the lifts x of row s and y of row t, gcd(x, y) = 1.
+
+    Returns (moves, carrier, zero): the row operations (i, j, q), each
+    row_i -= q row_j, and the rows they leave with 1 and with 0.
+    """
+    moves = []
+    while x and y:
+        if x >= y:
+            q, x = divmod(x, y)
+            moves.append((s, t, q))
+        else:
+            q, y = divmod(y, x)
+            moves.append((t, s, q))
+    return (moves, t, s) if x == 0 else (moves, s, t)

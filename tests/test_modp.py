@@ -200,14 +200,16 @@ def test_word_for_modp_larger_dimensions():
 
 @pytest.mark.parametrize("n, p, seed, samples", [(16, 2**61 - 1, 116, 6), (32, 10007, 132, 3)])
 def test_word_for_modp_large_dimensions(n, p, seed, samples):
-    # the worst length / (N^2 ln p) measured on these samples is 2.321 at
-    # N = 16 and 1.985 at N = 32; each case takes about 0.5 s with evaluation
+    # the worst length / (N^2 ln p) measured on these samples is 1.074 at
+    # N = 16 and 0.737 at N = 32; each bound is about 12% above its worst.
+    # Each case takes about 0.5 s with evaluation
+    bound = {16: 1.2, 32: 0.83}[n]
     rng = random.Random(seed)
     for _ in range(samples):
         m = random_sl_fp(n, p, rng)
         w = word_for_modp(m)
         assert eval_word_fp(w, p) == m
-        assert len(w) <= 3.0 * n * n * math.log(p)
+        assert len(w) <= bound * n * n * math.log(p)
 
 
 def test_word_for_modp_membership_checks():

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from cayleynav.compression import _batch_letters, compress_power
-from cayleynav.core import MatFp, MatZ, Word, eletter, eval_word_fp, eval_word_z, least_abs_residue
-from cayleynav.errors import DomainError, NotInGroupError, UnsupportedDimensionError
+from cayleynav.core import MatFp, MatZ, Word, eletter, eval_word_fp, eval_word_z, inverse_mod, least_abs_residue
+from cayleynav.errors import DomainError, InternalStateError, NotInGroupError, UnsupportedDimensionError
 from cayleynav.modp import random_sl_fp
 from cayleynav.rowreduce import RowReducer
 
@@ -95,7 +95,10 @@ def upper_powers(rows, col, p):
 
 
 @pytest.mark.parametrize("p", [None, 10007, 2**61 - 1])
-def test_clear_upper_takes_the_half_walk_only_over_fp_before_column_n(p):
+def test_clear_upper_is_one_batch_per_column(p):
+    # over Z each column is one batch with the full template; over Z/p
+    # clear_column has left columns 1..N-1 as unit columns, so clear_upper
+    # takes column N only, and refuses an entry above the diagonal elsewhere
     rng = random.Random(f"upper:{p}")
     for n in (3, 4, 5, 6):
         for col in range(2, n + 1):
@@ -103,20 +106,71 @@ def test_clear_upper_takes_the_half_walk_only_over_fp_before_column_n(p):
             for r in range(n):
                 rows[r][r] = 1  # clear_upper takes pivots of 1
             red = RowReducer(copy.deepcopy(rows), p)
+            if p is not None and col < n:
+                with pytest.raises(InternalStateError, match="not cleared above the diagonal"):
+                    red.clear_upper()
+                assert red.out == []
+                continue
             red.clear_upper()
             assert all(red.rows[r][c] == 0 for r in range(n) for c in range(r + 1, n))
-            powers = upper_powers(rows, col, p)
-            full, _ = _batch_letters(col, powers, range(1, n + 1))
-            if p is None or col == n:
-                assert red.out == full
-                continue
-            half, moved = _batch_letters(col, powers, range(1, n + 1), n)
-            assert len(half) <= len(full) and red.out[: len(half)] == half
-            # the junk lands on column n, which column n then clears with the
-            # full template
-            for i, x in moved:
-                rows[i - 1][n - 1] = (rows[i - 1][n - 1] - x) % p
-            assert red.out[len(half) :] == _batch_letters(n, upper_powers(rows, n, p), range(1, n + 1))[0]
+            assert red.out == _batch_letters(col, upper_powers(rows, col, p), range(1, n + 1))[0]
+
+
+class LoneReducer(RowReducer):
+    """Records each lone entry clear_column prices: (on the diagonal, g != 1 and its row
+    nonzero right of the column, the pair taken)."""
+
+    def __init__(self, rows, p):
+        super().__init__(rows, p)
+        self.lone = set()
+
+    def _lone_pair(self, col, c):
+        row = self.rows[c - 1]
+        pair = super()._lone_pair(col, c)
+        self.lone.add((c == col, row[col - 1] != 1 and any(row[col:]), pair is not None))
+        return pair
+
+
+def permutation_sign(perm):
+    return math.prod(-1 if perm[j] > perm[i] else 1 for i in range(len(perm)) for j in range(i))
+
+
+def test_clear_column_leaves_a_unit_column_over_fp():
+    # Gauss-Jordan over Z/p: after clear_column(col), column col is e_col,
+    # above the diagonal too.  Dense inputs take the pair rule.  Row
+    # permutations of upper triangular matrices put lone entries on and
+    # off the diagonal, with entries right of them, so the lone-entry rule
+    # is priced both ways; diagonals keep the gadget
+    seen = set()
+    for p in (5, 11, 10007, 2**31 - 1):
+        rng = random.Random(f"gauss-jordan:{p}")
+        for n in range(3, 9):
+            for kind in ("dense", "permuted", "diagonal"):
+                for _ in range(3):
+                    if kind == "dense":
+                        m = random_sl_fp(n, p, rng)
+                    else:
+                        perm = list(range(n))
+                        if kind == "permuted":
+                            rng.shuffle(perm)
+                        diag = [rng.randrange(1, p) for _ in range(n - 1)]
+                        diag.append(inverse_mod(permutation_sign(perm) * math.prod(diag), p))
+                        upper = [[diag[r] if r == c else 0 for c in range(n)] for r in range(n)]
+                        if kind == "permuted":
+                            for r in range(n):
+                                upper[r][r + 1 :] = [rng.randrange(p) for _ in range(r + 1, n)]
+                        m = MatFp.from_rows([upper[perm[r]] for r in range(n)], p)
+                    red = LoneReducer([list(r) for r in m.rows], p)
+                    for col in range(1, n):
+                        red.clear_column(col)
+                        assert [row[col - 1] for row in red.rows] == [int(r == col - 1) for r in range(n)]
+                    red.clear_upper()
+                    red.check_identity()
+                    assert eval_word_fp(Word(n, tuple(red.out)), p) == m
+                    seen |= red.lone
+    # the pair taken on and off the diagonal, the landing kept off it (at
+    # small p), and the gadget on diagonal rows
+    assert {(True, True, True), (False, True, True), (False, True, False), (True, False, False)} <= seen
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -163,9 +217,10 @@ def test_reduce_takes_entries_mod_p():
 @pytest.mark.parametrize("p", [None, 2, 7, 10007])
 def test_the_record_adds_up_in_both_rings(p):
     # over Z, inputs times a diagonal of signs, so column clearing runs
-    # sign gadgets of 6 letters each
+    # sign gadgets of 6 letters each; over Z/p, dense inputs and then
+    # sparse diagonals, whose pivots != 1 take the gadget
     rng = random.Random(f"record:{p}")
-    signs = 0
+    dense = sparse = 0
     for n in (3, 4, 5, 6):
         for _ in range(8):
             if p is None:
@@ -175,16 +230,34 @@ def test_the_record_adds_up_in_both_rings(p):
                 m = MatZ.from_rows([[-x if r in flips else x for x in row] for r, row in enumerate(m.rows)])
             else:
                 m = random_sl_fp(n, p, rng)
-            r = RowReducer([list(row) for row in m.rows], p).reduce()
-            assert sum(r.phase_lengths) == len(r.word)
-            if p is None:
-                assert r.phase_lengths[1] % 6 == 0
-                assert eval_word_z(r.word) == m
-            else:
-                assert eval_word_fp(r.word, p) == m
-            signs += r.phase_lengths[1]
-    # over F_2 every nonzero entry is 1, so no gadget runs
-    assert (signs > 0) == (p != 2)
+            dense += check_record(m, p)
+        if p is not None:
+            for _ in range(4):
+                diag = [rng.choice((1, rng.randrange(1, p))) for _ in range(n - 1)]
+                diag.append(inverse_mod(math.prod(diag), p))
+                sparse += check_record(MatFp.from_rows([[diag[r] if r == c else 0 for c in range(n)] for r in range(n)], p), p)
+    if p is None:
+        assert dense > 0
+    elif p == 2:
+        # every nonzero entry is 1, so no gadget runs
+        assert dense == sparse == 0
+    else:
+        # a dense column lands its pivot from a coprime pair; only a lone
+        # pivot whose row is zero right of it keeps the gadget, about one
+        # column in p, which at p = 7 happens once on these inputs
+        assert sparse > 0 and (dense == 0 or p < 100)
+
+
+def check_record(m, p):
+    """Reduce m, check the word and that the phases add up to it; return the gadget letters."""
+    r = RowReducer([list(row) for row in m.rows], p).reduce()
+    assert sum(r.phase_lengths) == len(r.word)
+    if p is None:
+        assert r.phase_lengths[1] % 6 == 0
+        assert eval_word_z(r.word) == m
+    else:
+        assert eval_word_fp(r.word, p) == m
+    return r.phase_lengths[1]
 
 
 def test_lll_refuses_dependent_rows():
