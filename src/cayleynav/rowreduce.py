@@ -84,11 +84,11 @@ class NormalFormResult(namedtuple("NormalFormResult", "word phase_lengths column
     diag(g^-1, g) gadgets column clearing runs in place, and upper
     clearing.  Over Z/p column clearing is Gauss-Jordan, so the column
     count holds the rows above the diagonal in columns 1..N-1 too, and the
-    upper count is column N alone.  column_norms and peak_norm are RowReducer.norms and
-    RowReducer.peak: the sup norm of the input and after each cleared
-    column, and the largest |entry| met, the input included, after any row
-    operation.  Over Z/p neither is tracked: both hold only the input's
-    largest residue.
+    upper count is column N alone.  column_norms and peak_norm are
+    RowReducer.norms and RowReducer.peak: the sup norm of the input and
+    after each cleared column, and the largest |entry| met, the input
+    included, after any row operation.  Over Z/p neither is tracked: both
+    hold only the input's largest residue.
     """
 
     __slots__ = ()
@@ -414,8 +414,8 @@ class RowReducer:
         Every other row i with a nonzero entry a_i takes row_i -= a_i row_c,
         with the half walk and junk row junk when one is given.
         """
-        rows = self.rows
-        mults = [(i, self._lift(-rows[i - 1][col - 1])) for i in self.all_rows if i != c and rows[i - 1][col - 1]]
+        rows, k = self.rows, col - 1
+        mults = [(i, self._lift(-rows[i - 1][k])) for i in self.all_rows if i != c and rows[i - 1][k]]
         self.batch(c, mults, self.all_rows, junk)
 
     def _lift(self, v: int) -> int:

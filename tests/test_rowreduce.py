@@ -5,7 +5,16 @@ import random
 import pytest
 
 from cayleynav.compression import _batch_letters, compress_power
-from cayleynav.core import MatFp, MatZ, Word, eletter, eval_word_fp, eval_word_z, inverse_mod, least_abs_residue
+from cayleynav.core import (
+    MatFp,
+    MatZ,
+    Word,
+    eletter,
+    eval_word_fp,
+    eval_word_z,
+    inverse_mod,
+    least_abs_residue,
+)
 from cayleynav.errors import DomainError, InternalStateError, NotInGroupError, UnsupportedDimensionError
 from cayleynav.modp import random_sl_fp
 from cayleynav.rowreduce import RowReducer
@@ -117,8 +126,11 @@ def test_clear_upper_is_one_batch_per_column(p):
 
 
 class LoneReducer(RowReducer):
-    """Records each lone entry clear_column prices: (on the diagonal, g != 1 and its row
-    nonzero right of the column, the pair taken)."""
+    """Records each lone entry g that clear_column meets.
+
+    Each record is (on the diagonal, g != 1, its row nonzero right of the
+    column, the pair taken).
+    """
 
     def __init__(self, rows, p):
         super().__init__(rows, p)
@@ -127,7 +139,7 @@ class LoneReducer(RowReducer):
     def _lone_pair(self, col, c):
         row = self.rows[c - 1]
         pair = super()._lone_pair(col, c)
-        self.lone.add((c == col, row[col - 1] != 1 and any(row[col:]), pair is not None))
+        self.lone.add((c == col, row[col - 1] != 1, any(row[col:]), pair is not None))
         return pair
 
 
@@ -163,14 +175,19 @@ def test_clear_column_leaves_a_unit_column_over_fp():
                     red = LoneReducer([list(r) for r in m.rows], p)
                     for col in range(1, n):
                         red.clear_column(col)
-                        assert [row[col - 1] for row in red.rows] == [int(r == col - 1) for r in range(n)]
+                        column = [row[col - 1] for row in red.rows]
+                        assert column == [int(r == col - 1) for r in range(n)]
                     red.clear_upper()
                     red.check_identity()
                     assert eval_word_fp(Word(n, tuple(red.out)), p) == m
                     seen |= red.lone
-    # the pair taken on and off the diagonal, the landing kept off it (at
-    # small p), and the gadget on diagonal rows
-    assert {(True, True, True), (False, True, True), (False, True, False), (True, False, False)} <= seen
+    expected = {
+        (True, True, True, True),  # the pair taken on the diagonal
+        (False, True, True, True),  # and off it
+        (False, True, True, False),  # the landing kept off it, at small p
+        (True, True, False, False),  # the gadget on a diagonal row
+    }
+    assert expected <= seen
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -235,7 +252,8 @@ def test_the_record_adds_up_in_both_rings(p):
             for _ in range(4):
                 diag = [rng.choice((1, rng.randrange(1, p))) for _ in range(n - 1)]
                 diag.append(inverse_mod(math.prod(diag), p))
-                sparse += check_record(MatFp.from_rows([[diag[r] if r == c else 0 for c in range(n)] for r in range(n)], p), p)
+                m = MatFp.from_rows([[diag[r] if r == c else 0 for c in range(n)] for r in range(n)], p)
+                sparse += check_record(m, p)
     if p is None:
         assert dense > 0
     elif p == 2:
